@@ -15,7 +15,9 @@
 //!      uncached per-byte path.
 //!
 //! * **`--smp` (sharded scaling, `BENCH_3.json`)** — runs the lmbench mix
-//!   through `camo_smp::ShardedDriver` at increasing shard counts. Each
+//!   as one `FleetPlan::new(shards, seed, vec![TenantSpec::lmbench("lmbench",
+//!   n)])` tenant through `camo_smp::FleetDriver` at increasing shard
+//!   counts. Each
 //!   point is measured twice: parallel (wall scaling on *this* host,
 //!   bounded by its core count) and sequential (isolated per-shard
 //!   capacity, the pool's aggregate rate given one core per shard). One
@@ -71,7 +73,8 @@
 //!   reported in the JSON.
 //!
 //! * **`--telemetry` (streaming stats plane A/B, `BENCH_8.json`)** — runs
-//!   the standard fleet mix with the per-shard telemetry ring on and off.
+//!   the standard fleet mix with the per-tenant telemetry series on and
+//!   off.
 //!   Telemetry has *no* architectural surface, so the gates are the
 //!   strictest in the family, all hard:
 //!   1. **Bit-identity**: the two arms agree on every simulated quantity
@@ -82,7 +85,7 @@
 //!   3. **Silence / completeness**: the off arm carries no time series
 //!      anywhere; the on arm carries a non-empty series for every tenant
 //!      whose window sums reproduce the end-of-run totals exactly.
-//!   4. **Overhead**: draining the plane costs < 2% fleet capacity.
+//!   4. **Overhead**: running the plane costs < 2% fleet capacity.
 //!   5. **Security**: the 24-row attack matrix still matches the paper.
 //!
 //! * **`--fleet-steal` (work-stealing scheduler, `BENCH_9.json`)** — the
@@ -1338,7 +1341,7 @@ fn run_fuzz(args: &Args) -> Outcome {
     Outcome::new(code, Vec::new())
 }
 
-/// Drain-overhead budget for the telemetry plane (hard gate: observing
+/// Overhead budget for the telemetry plane (hard gate: observing
 /// the fleet must cost less than 2% of its capacity).
 const TELEMETRY_OVERHEAD_BUDGET: f64 = 0.02;
 /// Rows the §6 attack matrix is expected to carry.
@@ -1349,15 +1352,13 @@ fn run_telemetry(args: &Args) -> Outcome {
 
     let shards = fleet_shards(args);
     let tenants = fleet::standard_tenants(args.smoke);
-    let ring_cfg = camo_cpu::telemetry::TelemetryConfig::default();
+    let window_ops = camo_cpu::telemetry::WINDOW_OPS;
     println!(
         "perfcheck --telemetry: stats plane on vs off, seed {:#x}, \
          {} tenants x {shards} shards x {FLEET_CPUS} cores, \
-         window {} ops, ring capacity {}",
+         window {window_ops} ops",
         args.seed,
         tenants.len(),
-        ring_cfg.window_ops,
-        ring_cfg.capacity
     );
 
     // Best-of-REPEATS like the engine A/Bs: the simulated totals are
@@ -1450,8 +1451,7 @@ fn run_telemetry(args: &Args) -> Outcome {
     let _ = writeln!(json, "  \"seed\": {},", args.seed);
     let _ = writeln!(json, "  \"shards\": {shards},");
     let _ = writeln!(json, "  \"cpus_per_shard\": {FLEET_CPUS},");
-    let _ = writeln!(json, "  \"window_ops\": {},", ring_cfg.window_ops);
-    let _ = writeln!(json, "  \"ring_capacity\": {},", ring_cfg.capacity);
+    let _ = writeln!(json, "  \"window_ops\": {window_ops},");
     json.push_str("  \"tenants\": [\n");
     for (i, (check, tenant)) in checks.iter().zip(&ab.on.parallel.tenants).enumerate() {
         let _ = writeln!(

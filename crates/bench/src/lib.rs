@@ -352,10 +352,14 @@ pub mod perf {
     ///
     /// Panics if a shard fails (benign traffic must not fault).
     pub fn smp_scaling(shards: usize, total_syscalls: u64, seed: u64) -> ScalingPoint {
-        use camo_smp::{FleetDriver, TrafficPlan};
-        // The PR-3 traffic plan, served by the fleet engine as a single
-        // lmbench tenant (the deprecated ShardedDriver's exact semantics).
-        let plan = TrafficPlan::new(shards, total_syscalls, seed).to_fleet();
+        use camo_smp::{FleetDriver, FleetPlan};
+        use camo_workloads::TenantSpec;
+        // One lmbench tenant whose syscall quota is split across shards.
+        let plan = FleetPlan::new(
+            shards,
+            seed,
+            vec![TenantSpec::lmbench("lmbench", total_syscalls)],
+        );
         let par = FleetDriver::drive(&plan).expect("parallel traffic runs");
         let seq = FleetDriver::drive_sequential(&plan).expect("sequential traffic runs");
         ScalingPoint {
@@ -1245,7 +1249,7 @@ pub mod steal {
     pub fn measure(shards: usize, seed: u64, smoke: bool, repeats: usize) -> StealMeasurement {
         let mut plan = FleetPlan::new(shards, seed, dense_tenants(smoke));
         plan.cpus_per_shard = 1;
-        // Telemetry on: gate 3 needs the drain path live under stealing.
+        // Telemetry on: gate 3 needs the series recorded under stealing.
         plan.telemetry = true;
         let sequential = FleetDriver::drive_sequential(&plan).expect("sequential oracle runs");
         let counts = worker_counts(&plan);

@@ -1,14 +1,12 @@
 //! Completeness audit for [`CpuStats`] aggregation.
 //!
-//! `merge`, `delta_since`, and the telemetry word codec must each cover
-//! *every* counter field, and `arch_eq` must keep its architectural /
+//! `merge` and `delta_since` must each cover *every* counter field, and `arch_eq` must keep its architectural /
 //! observability split intact. These tests are written so that adding a
 //! new counter to `CpuStats` without teaching the aggregators about it
 //! fails here (the exhaustive struct literal below stops compiling the
 //! moment a field is added, and the distinct-value sweeps catch a field
 //! that compiles but is skipped at runtime).
 
-use camo_cpu::telemetry::{StatWindow, WINDOW_WORDS};
 use camo_cpu::CpuStats;
 
 /// An exhaustive `CpuStats` literal with every field distinct and
@@ -120,11 +118,60 @@ fn fields() -> Vec<(&'static str, fn(&mut CpuStats) -> &mut u64, bool)> {
 
 #[test]
 fn field_list_is_complete() {
-    // The telemetry codec destructures CpuStats exhaustively, so its
-    // width is the ground truth for the field count.
+    // Exhaustive on purpose (no `..`): a new CpuStats field fails to
+    // compile here until it is listed, and the count then forces the
+    // accessor list to follow.
+    let CpuStats {
+        instructions,
+        pac_signs,
+        pac_auth_ok,
+        pac_auth_fail,
+        pac_auth_fail_instr,
+        pac_auth_fail_data,
+        key_writes,
+        exceptions,
+        tlb_hits,
+        tlb_misses,
+        icache_hits,
+        icache_misses,
+        pac_memo_hits,
+        pac_memo_misses,
+        ipis,
+        block_hits,
+        block_misses,
+        block_invalidations,
+        chain_follows,
+        trace_hits,
+        trace_misses,
+        trace_invalidations,
+    } = distinct();
+    let all = [
+        instructions,
+        pac_signs,
+        pac_auth_ok,
+        pac_auth_fail,
+        pac_auth_fail_instr,
+        pac_auth_fail_data,
+        key_writes,
+        exceptions,
+        tlb_hits,
+        tlb_misses,
+        icache_hits,
+        icache_misses,
+        pac_memo_hits,
+        pac_memo_misses,
+        ipis,
+        block_hits,
+        block_misses,
+        block_invalidations,
+        chain_follows,
+        trace_hits,
+        trace_misses,
+        trace_invalidations,
+    ];
     assert_eq!(
         fields().len(),
-        WINDOW_WORDS - 5,
+        all.len(),
         "field accessor list out of sync with CpuStats"
     );
 }
@@ -184,18 +231,4 @@ fn arch_eq_splits_architectural_from_observability() {
             );
         }
     }
-}
-
-#[test]
-fn telemetry_codec_covers_every_field() {
-    let w = StatWindow {
-        tenant: 90,
-        seq: 91,
-        ops: 92,
-        syscalls: 93,
-        cycles: 94,
-        stats: distinct(),
-    };
-    let decoded = StatWindow::from_words(&w.to_words());
-    assert_eq!(decoded, w, "codec must roundtrip every counter");
 }

@@ -550,7 +550,7 @@ fn recycled_trace_slot_never_serves_the_evicted_trace() {
                 .unwrap();
         }
     }
-    let mut run_loop = |cpu: &mut Cpu, mem: &mut Memory, va: u64| {
+    let run_loop = |cpu: &mut Cpu, mem: &mut Memory, va: u64| {
         cpu.state.pc = va;
         cpu.state.gprs[0] = 300;
         cpu.state.gprs[1] = 0;

@@ -11,14 +11,12 @@ use camo_analysis::verify_image;
 use camo_boot::Bootloader;
 use camo_codegen::{CodegenConfig, Image, Program, ProtectionLevel, StaticPointerTable};
 use camo_cpu::pac::{classify_pac_failure, looks_like_pac_failure};
-use camo_cpu::telemetry::{TelemetryConfig, TelemetryRing};
 use camo_cpu::{Cpu, CpuError, HwFeatures, IpiKind, Step, CALL_SENTINEL};
 use camo_isa::{encode, Reg, SysReg};
 use camo_mem::{El, Frame, Memory, S1Attr, TableId, PAGE_SIZE};
 use camo_qarma::QarmaKey;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use std::sync::Arc;
 
 /// Kernel build & boot configuration.
 #[derive(Debug, Clone)]
@@ -83,11 +81,11 @@ pub struct KernelConfig {
     /// stage-1/stage-2 configuration, and the cluster-wide translation
     /// generation (the TLB-shootdown backbone).
     pub cpus: usize,
-    /// Enables the streaming telemetry plane: boot allocates a
-    /// [`TelemetryRing`] that executors driving this kernel (e.g.
-    /// `TenantRun` in `camo_workloads`) publish periodic stat-delta
-    /// windows into, for a consumer (the fleet driver, a dashboard) to
-    /// drain into per-tenant time series.
+    /// Enables the telemetry plane: executors driving this kernel (e.g.
+    /// `TenantRun` in `camo_workloads`) record a per-tenant time series
+    /// of stat-delta windows ([`camo_cpu::telemetry::StatWindow`]). The
+    /// kernel itself holds no telemetry state; executors read this flag
+    /// from [`Kernel::config`].
     ///
     /// Architecturally invisible like [`KernelConfig::fast_caches`]: the
     /// plane only *reads* the per-op stat deltas executors already
@@ -273,11 +271,6 @@ pub struct Kernel {
     next_module_slot: u64,
     free_module_slots: Vec<u64>,
     hot: HotSymbols,
-    /// The observability ring, allocated at boot when
-    /// [`KernelConfig::telemetry`] is on. Host-side plumbing only: the
-    /// kernel itself never reads or writes it, it just hands the handle
-    /// to executors and drainers via [`Kernel::telemetry_ring`].
-    telemetry: Option<Arc<TelemetryRing>>,
 }
 
 /// Pages backing each of the file and work heaps.
@@ -457,9 +450,6 @@ impl Kernel {
             next_module_slot: 0,
             free_module_slots: Vec::new(),
             hot,
-            telemetry: cfg
-                .telemetry
-                .then(|| Arc::new(TelemetryRing::new(TelemetryConfig::default()))),
             cfg,
         };
 
@@ -493,14 +483,6 @@ impl Kernel {
     /// The boot configuration.
     pub fn config(&self) -> &KernelConfig {
         &self.cfg
-    }
-
-    /// The streaming-telemetry ring, when [`KernelConfig::telemetry`] is
-    /// on. Producers ([`camo_cpu::telemetry::TelemetryEmitter`]) and the
-    /// draining consumer share this handle; the kernel itself never
-    /// touches the ring.
-    pub fn telemetry_ring(&self) -> Option<Arc<TelemetryRing>> {
-        self.telemetry.clone()
     }
 
     /// The instrumentation configuration the kernel was built with.

@@ -20,150 +20,20 @@
 //! work-stealing pool of host workers (see the `scheduler` module):
 //! shard count is decoupled from host thread count, and the host
 //! schedule — which worker runs which slice — is invisible to the
-//! simulation. [`ShardedDriver`] survives as a thin deprecated alias
-//! that runs the single-tenant lmbench mix with the PR-3 `TrafficPlan`
-//! semantics.
+//! simulation.
 
 use crate::scheduler::{self, ShardTask, TenantSched};
 use camo_core::ProtectionLevel;
 use camo_cpu::telemetry::StatWindow;
 use camo_cpu::CpuStats;
 use camo_kernel::KernelError;
-use camo_workloads::{Quota, TenantSpec, TenantTotals};
+use camo_workloads::{TenantSpec, TenantTotals};
 use std::time::Instant;
 
 /// Derives the boot seed of shard `index` from the plan seed
 /// (splitmix64 — deterministic, well-spread, stable across runs).
 pub fn shard_seed(base: u64, index: usize) -> u64 {
     camo_workloads::derive_seed(base, index as u64)
-}
-
-/// A sharded traffic workload: the lmbench syscall mix, partitioned.
-///
-/// The PR-3 plan shape, kept for the [`ShardedDriver`] compatibility
-/// alias; new code should build a [`FleetPlan`] directly.
-#[derive(Debug, Clone)]
-pub struct TrafficPlan {
-    /// Number of independent machines (host threads).
-    pub shards: usize,
-    /// Cores per machine (1 = plain `Machine`-equivalent shards).
-    pub cpus_per_shard: usize,
-    /// Total syscalls across all shards (split as evenly as possible;
-    /// the first `total % shards` shards serve one extra).
-    pub total_syscalls: u64,
-    /// Base seed; shard `i` boots with [`shard_seed`]`(seed, i)`.
-    pub seed: u64,
-    /// Protection level of every shard machine.
-    pub protection: ProtectionLevel,
-    /// Fast-path caches on every shard machine.
-    pub fast_caches: bool,
-    /// Block translation engine on every shard machine.
-    pub block_engine: bool,
-    /// Trace tier of the translation engine on every shard machine.
-    pub trace_engine: bool,
-    /// Streaming telemetry plane on every shard machine
-    /// ([`camo_kernel::KernelConfig::telemetry`]). Architecturally
-    /// invisible; `perfcheck --telemetry` measures the fleet-level A/B.
-    pub telemetry: bool,
-}
-
-impl TrafficPlan {
-    /// A fully protected plan with caches on.
-    pub fn new(shards: usize, total_syscalls: u64, seed: u64) -> TrafficPlan {
-        TrafficPlan {
-            shards,
-            cpus_per_shard: 1,
-            total_syscalls,
-            seed,
-            protection: ProtectionLevel::Full,
-            fast_caches: true,
-            block_engine: true,
-            trace_engine: true,
-            telemetry: false,
-        }
-    }
-
-    /// The syscall quota of shard `index`.
-    pub fn quota(&self, index: usize) -> u64 {
-        Quota::Syscalls(self.total_syscalls).share(self.shards, index)
-    }
-
-    /// The equivalent single-tenant [`FleetPlan`].
-    pub fn to_fleet(&self) -> FleetPlan {
-        FleetPlan {
-            shards: self.shards,
-            cpus_per_shard: self.cpus_per_shard,
-            seed: self.seed,
-            protection: self.protection,
-            fast_caches: self.fast_caches,
-            block_engine: self.block_engine,
-            trace_engine: self.trace_engine,
-            telemetry: self.telemetry,
-            pac_panic_threshold: None,
-            workers: None,
-            tenants: vec![TenantSpec::lmbench("lmbench", self.total_syscalls)],
-        }
-    }
-}
-
-/// What one shard did.
-#[derive(Debug, Clone)]
-pub struct ShardReport {
-    /// Shard index.
-    pub shard: usize,
-    /// The seed its machine booted with.
-    pub seed: u64,
-    /// Syscalls served.
-    pub syscalls: u64,
-    /// Simulated instructions retired.
-    pub instructions: u64,
-    /// Simulated cycles consumed (summed over the shard's cores).
-    pub cycles: u64,
-    /// Merged counters of the shard's cores.
-    pub stats: CpuStats,
-    /// This shard's own boot + serve duration, measured in whichever
-    /// thread ran it. Under a parallel drive this includes host
-    /// contention; under a sequential drive the shard ran alone, so
-    /// `instructions / wall_secs` is its isolated capacity.
-    pub wall_secs: f64,
-}
-
-/// The merged outcome of a sharded run.
-#[derive(Debug, Clone)]
-pub struct TrafficReport {
-    /// Per-shard reports, in shard order.
-    pub shards: Vec<ShardReport>,
-    /// Total syscalls served.
-    pub syscalls: u64,
-    /// Total simulated instructions.
-    pub instructions: u64,
-    /// Total simulated cycles.
-    pub cycles: u64,
-    /// All shards' counters merged.
-    pub stats: CpuStats,
-    /// Host wall-clock seconds for the whole fan-out.
-    pub wall_secs: f64,
-}
-
-impl TrafficReport {
-    /// Aggregate simulated instructions per host second of wall time —
-    /// what this particular host delivered. Scales with shard count up to
-    /// the host's core count.
-    pub fn steps_per_sec(&self) -> f64 {
-        self.instructions as f64 / self.wall_secs.max(1e-9)
-    }
-
-    /// Aggregate shard capacity: the sum of each shard's own
-    /// `instructions / wall_secs` rate. Measured from a sequential run
-    /// (shards timed in isolation), this is the pool's aggregate service
-    /// rate given one unloaded core per shard; on a host with at least
-    /// that many idle cores the parallel wall rate converges to it.
-    pub fn capacity_steps_per_sec(&self) -> f64 {
-        self.shards
-            .iter()
-            .map(|s| s.instructions as f64 / s.wall_secs.max(1e-9))
-            .sum()
-    }
 }
 
 /// A multi-tenant fleet: an arbitrary workload mix across shards.
@@ -190,11 +60,11 @@ pub struct FleetPlan {
     /// ([`camo_kernel::KernelConfig::trace_engine`]). Architecturally
     /// invisible; `perfcheck --traces` measures the fleet-level A/B.
     pub trace_engine: bool,
-    /// Streaming telemetry plane on every shard machine
-    /// ([`camo_kernel::KernelConfig::telemetry`]): tenants publish
-    /// periodic stat-delta windows that the driver drains into each
-    /// [`TenantReport::series`]. Architecturally invisible — the off arm
-    /// is bit-identical; `perfcheck --telemetry` gates the A/B.
+    /// Telemetry plane on every shard machine
+    /// ([`camo_kernel::KernelConfig::telemetry`]): tenants record
+    /// periodic stat-delta windows into each [`TenantReport::series`].
+    /// Architecturally invisible — the off arm is bit-identical;
+    /// `perfcheck --telemetry` gates the A/B.
     pub telemetry: bool,
     /// Overrides every shard kernel's §5.4 panic threshold
     /// ([`camo_kernel::KernelConfig::pac_panic_threshold`]) when set. An
@@ -211,8 +81,8 @@ pub struct FleetPlan {
     pub workers: Option<usize>,
     /// The tenants, served by the weighted-fair simulated schedule on
     /// every shard (plain round-robin when all weights are 1); each
-    /// tenant's quota is split across shards like [`TrafficPlan`]
-    /// syscalls, and its [`TenantSpec::weight`]/
+    /// tenant's quota is split across shards by
+    /// [`camo_workloads::Quota::share`], and its [`TenantSpec::weight`]/
     /// [`TenantSpec::cycle_budget`] shape the per-sweep schedule.
     /// Names must be unique — a tenant's op stream is seeded from its
     /// name.
@@ -251,13 +121,13 @@ pub struct TenantReport {
     /// (p50/p90/p99 via its `percentile`).
     pub totals: TenantTotals,
     /// The tenant's telemetry time series: its stat-delta windows in
-    /// emission order, drained from the shard rings when
-    /// [`FleetPlan::telemetry`] is on (empty otherwise). Fleet-wide
-    /// reports concatenate shard series in shard order, mirroring how
-    /// `totals` merge; within one shard's segment `seq` is dense and
-    /// ordered, and the windows of a segment sum exactly to that shard's
-    /// contribution to `totals` (the coalescing ring plus end-of-run
-    /// flush lose nothing).
+    /// order, recorded when [`FleetPlan::telemetry`] is on (empty
+    /// otherwise). Fleet-wide reports concatenate shard series in shard
+    /// order, mirroring how `totals` merge; within one shard's segment
+    /// `seq` is dense and ordered, every window but the last holds
+    /// exactly [`camo_cpu::telemetry::WINDOW_OPS`] ops, and the windows
+    /// of a segment sum exactly to that shard's contribution to
+    /// `totals`.
     pub series: Vec<StatWindow>,
     /// The tenant's simulated-schedule record — sweeps served, ops
     /// served, throttled sweeps, drain point. Deterministic in the plan;
@@ -296,8 +166,10 @@ pub struct FleetShardReport {
     /// Deterministic in the plan (part of `simulation_identical`).
     pub sweeps: u64,
     /// This shard's own boot + serve duration, accumulated across its
-    /// slices on whichever workers ran them (see
-    /// [`ShardReport::wall_secs`] for the parallel/sequential reading).
+    /// slices on whichever workers ran them. Under a parallel drive this
+    /// includes host contention; under [`FleetDriver::drive_sequential`]
+    /// the shard ran alone, so `instructions / wall_secs` is its
+    /// isolated capacity.
     pub wall_secs: f64,
 }
 
@@ -345,8 +217,11 @@ impl FleetReport {
         self.instructions as f64 / self.wall_secs.max(1e-9)
     }
 
-    /// Aggregate shard capacity (sum of isolated per-shard rates; see
-    /// [`TrafficReport::capacity_steps_per_sec`]).
+    /// Aggregate shard capacity: the sum of each shard's own
+    /// `instructions / wall_secs` rate. Measured from a sequential run
+    /// (shards timed in isolation), this is the pool's aggregate service
+    /// rate given one unloaded core per shard; on a host with at least
+    /// that many idle cores the parallel wall rate converges to it.
     pub fn capacity_steps_per_sec(&self) -> f64 {
         self.shards
             .iter()
@@ -565,80 +440,14 @@ impl FleetDriver {
     }
 }
 
-/// Runs [`TrafficPlan`]s across a pool of host threads, one per shard.
-///
-/// Since PR 4 this is a thin compatibility alias: every drive builds the
-/// equivalent single-tenant lmbench [`FleetPlan`] and runs it through
-/// [`FleetDriver`], then flattens the per-tenant reports back into the
-/// PR-3 [`TrafficReport`] shape.
-#[deprecated(
-    since = "0.1.0",
-    note = "use FleetDriver with a FleetPlan (TrafficPlan::to_fleet gives the lmbench equivalent)"
-)]
-#[derive(Debug)]
-pub struct ShardedDriver;
-
-#[allow(deprecated)]
-impl ShardedDriver {
-    /// Executes `plan` on the thread pool. See [`FleetDriver::drive`].
-    ///
-    /// # Errors
-    ///
-    /// Propagates the first shard failure (by shard order).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the plan has zero shards or zero CPUs per shard.
-    pub fn drive(plan: &TrafficPlan) -> Result<TrafficReport, KernelError> {
-        Ok(Self::flatten(FleetDriver::drive(&plan.to_fleet())?))
-    }
-
-    /// Executes `plan` back to back on the calling thread. See
-    /// [`FleetDriver::drive_sequential`].
-    ///
-    /// # Errors
-    ///
-    /// Propagates the first shard failure.
-    pub fn drive_sequential(plan: &TrafficPlan) -> Result<TrafficReport, KernelError> {
-        Ok(Self::flatten(FleetDriver::drive_sequential(
-            &plan.to_fleet(),
-        )?))
-    }
-
-    fn flatten(report: FleetReport) -> TrafficReport {
-        TrafficReport {
-            syscalls: report.syscalls,
-            instructions: report.instructions,
-            cycles: report.cycles,
-            stats: report.stats,
-            wall_secs: report.wall_secs,
-            shards: report
-                .shards
-                .into_iter()
-                .map(|s| ShardReport {
-                    shard: s.shard,
-                    seed: s.seed,
-                    syscalls: s.syscalls,
-                    instructions: s.instructions,
-                    cycles: s.cycles,
-                    stats: s.stats,
-                    wall_secs: s.wall_secs,
-                })
-                .collect(),
-        }
-    }
-}
-
 #[cfg(test)]
-#[allow(deprecated)]
 mod tests {
     use super::*;
+    use camo_workloads::Quota;
 
     #[test]
     fn quotas_partition_exactly() {
-        let plan = TrafficPlan::new(3, 100, 1);
-        let quotas: Vec<u64> = (0..3).map(|i| plan.quota(i)).collect();
-        assert_eq!(quotas.iter().sum::<u64>(), 100);
+        let quotas: Vec<u64> = (0..3).map(|i| Quota::Syscalls(100).share(3, i)).collect();
         assert_eq!(quotas, vec![34, 33, 33]);
     }
 
@@ -654,55 +463,10 @@ mod tests {
     }
 
     #[test]
-    fn sharded_run_serves_the_whole_quota() {
-        let plan = TrafficPlan::new(2, 64, 7);
-        let report = ShardedDriver::drive(&plan).unwrap();
-        assert_eq!(report.syscalls, 64);
-        assert_eq!(report.shards.len(), 2);
-        assert_eq!(report.shards[0].syscalls, 32);
-        assert!(report.instructions > 0);
-        assert!(report.cycles > 0);
-    }
-
-    #[test]
-    fn simulated_totals_are_deterministic_in_the_plan() {
-        let plan = TrafficPlan::new(2, 48, 99);
-        let a = ShardedDriver::drive(&plan).unwrap();
-        let b = ShardedDriver::drive(&plan).unwrap();
-        assert_eq!(a.instructions, b.instructions);
-        assert_eq!(a.cycles, b.cycles);
-        assert_eq!(a.syscalls, b.syscalls);
-        for (x, y) in a.shards.iter().zip(&b.shards) {
-            assert_eq!(x.seed, y.seed);
-            assert_eq!(x.cycles, y.cycles);
-        }
-    }
-
-    #[test]
-    fn parallel_and_sequential_sharding_are_simulation_identical() {
-        // The execution mode (thread pool vs back-to-back) must be
-        // invisible to the simulation: same shards, same seeds, same
-        // simulated totals bit for bit.
-        let plan = TrafficPlan::new(3, 60, 1234);
-        let par = ShardedDriver::drive(&plan).unwrap();
-        let seq = ShardedDriver::drive_sequential(&plan).unwrap();
-        assert_eq!(par.instructions, seq.instructions);
-        assert_eq!(par.cycles, seq.cycles);
-        assert_eq!(par.syscalls, seq.syscalls);
-        assert_eq!(par.stats, seq.stats);
-        for (x, y) in par.shards.iter().zip(&seq.shards) {
-            assert_eq!(
-                (x.shard, x.seed, x.cycles, x.instructions, x.syscalls),
-                (y.shard, y.seed, y.cycles, y.instructions, y.syscalls)
-            );
-        }
-    }
-
-    #[test]
     fn multi_core_shards_spread_traffic_over_their_cores() {
-        let mut plan = TrafficPlan::new(1, 32, 5);
+        let mut plan = FleetPlan::new(1, 5, vec![TenantSpec::lmbench("lmbench", 32)]);
         plan.cpus_per_shard = 2;
-        let report = ShardedDriver::drive(&plan).unwrap();
+        let report = FleetDriver::drive(&plan).unwrap();
         assert_eq!(report.syscalls, 32);
         assert_eq!(report.shards[0].syscalls, 32);
         // Traffic alternates between the two per-core tasks, so the shard

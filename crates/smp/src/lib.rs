@@ -24,9 +24,9 @@
 //!   percentiles. This is where wall-clock throughput scales — shard
 //!   count is decoupled from host thread count, and the simulated totals
 //!   are bit-identical across any worker count or drive mode
-//!   ([`FleetReport::simulation_identical`]). The PR-3 `ShardedDriver`
-//!   survives as a thin deprecated alias running the single-tenant
-//!   lmbench mix.
+//!   ([`FleetReport::simulation_identical`]). With
+//!   [`FleetPlan::telemetry`] on, every [`TenantReport`] also carries the
+//!   tenant's time series of stat-delta windows.
 //!
 //! # Example
 //!
@@ -49,10 +49,7 @@ mod driver;
 mod scheduler;
 
 pub use cluster::{Cluster, ClusterStats};
-#[allow(deprecated)]
-pub use driver::ShardedDriver;
 pub use driver::{
-    shard_seed, ExecProfile, FleetDriver, FleetPlan, FleetReport, FleetShardReport, ShardReport,
-    TenantReport, TrafficPlan, TrafficReport,
+    shard_seed, ExecProfile, FleetDriver, FleetPlan, FleetReport, FleetShardReport, TenantReport,
 };
 pub use scheduler::TenantSched;

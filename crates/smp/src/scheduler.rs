@@ -28,21 +28,19 @@
 //! holds across any steal schedule, worker count, or drive mode — the
 //! same contract as `fast_caches`/`block_engine`/`trace_engine`.
 //!
-//! The telemetry plane rides the same ownership rule: the SPSC ring's
-//! producer is whichever worker is executing the shard's ops, and the
-//! drain runs on that same worker at the end of the same slice, so the
-//! single-producer/single-consumer contract holds even as the task
-//! migrates and window-sums ≡ totals survives unconditionally.
+//! The telemetry plane rides the same ownership rule: each tenant's
+//! series is plain state inside its `TenantRun`, which moves with the
+//! task, so no cross-thread handoff is needed and window-sums ≡ totals
+//! survives any steal schedule.
 
 use crate::cluster::Cluster;
 use crate::driver::{shard_seed, FleetPlan, FleetShardReport, TenantReport};
-use camo_cpu::telemetry::{StatWindow, TelemetryRing};
 use camo_cpu::CpuStats;
 use camo_kernel::{KernelConfig, KernelError};
 use camo_workloads::{tenant_stream_seed, Quota, TenantRun};
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Mutex;
 use std::time::Instant;
 
 /// Per-tenant facts of the *simulated* schedule on one shard (or summed
@@ -97,10 +95,7 @@ struct ShardRun<'p> {
     shard: usize,
     boot_seed: u64,
     cluster: Cluster,
-    ring: Option<Arc<TelemetryRing>>,
     tenants: Vec<TenantState>,
-    series: Vec<Vec<StatWindow>>,
-    scratch: Vec<StatWindow>,
     /// Completed sweeps (1-based during a sweep).
     sweeps: u64,
     /// Host wall time accumulated across this shard's slices, on
@@ -110,9 +105,8 @@ struct ShardRun<'p> {
 
 impl<'p> ShardRun<'p> {
     /// The boot slice: build workloads, compile their user blocks into
-    /// the machine image, boot the cluster, and register every tenant's
-    /// tasks and telemetry emitter (in plan order, so the ring's producer
-    /// id is the plan tenant index).
+    /// the machine image, boot the cluster, and set up every tenant's
+    /// tasks in plan order.
     fn boot(plan: &'p FleetPlan, shard: usize) -> Result<ShardRun<'p>, KernelError> {
         let boot_seed = shard_seed(plan.seed, shard);
         let workloads: Vec<_> = plan.tenants.iter().map(|t| t.build()).collect();
@@ -142,7 +136,6 @@ impl<'p> ShardRun<'p> {
         }
         cfg.telemetry = plan.telemetry;
         let mut cluster = Cluster::boot(cfg)?;
-        let ring = cluster.kernel_mut().telemetry_ring();
         let mut tenants = Vec::with_capacity(plan.tenants.len());
         for (spec, workload) in plan.tenants.iter().zip(workloads) {
             let run = TenantRun::new(
@@ -161,33 +154,15 @@ impl<'p> ShardRun<'p> {
                 sched: TenantSched::default(),
             });
         }
-        let series = vec![Vec::new(); plan.tenants.len()];
         Ok(ShardRun {
             plan,
             shard,
             boot_seed,
             cluster,
-            ring,
             tenants,
-            series,
-            scratch: Vec::new(),
             sweeps: 0,
             wall_secs: 0.0,
         })
-    }
-
-    /// Drains the shard's telemetry ring into the per-tenant series.
-    /// Runs on whichever worker owns the task — the same worker that
-    /// just produced, so the SPSC contract holds.
-    fn drain(&mut self) {
-        if let Some(ring) = &self.ring {
-            ring.drain_into(&mut self.scratch);
-            for w in self.scratch.drain(..) {
-                // Emitters registered in plan order, so the producer id
-                // is the plan tenant index.
-                self.series[w.tenant as usize].push(w);
-            }
-        }
     }
 
     /// One sweep of the simulated weighted-fair schedule: every live
@@ -255,27 +230,20 @@ impl<'p> ShardRun<'p> {
                 t.sched.drained_sweep = Some(sweep);
             }
         }
-        // Sweep-boundary drain keeps the ring far from full in the
-        // steady state (coalescing stays the overflow escape hatch).
-        self.drain();
         Ok(self.tenants.iter().any(|t| t.remaining > 0))
     }
 
-    /// Final drain + per-tenant telemetry flush, then assemble the shard
-    /// report. Consumes the run.
-    fn finish(mut self) -> FleetShardReport {
+    /// Assembles the shard report, taking every tenant's telemetry
+    /// series. Consumes the run.
+    fn finish(self) -> FleetShardReport {
         let start = Instant::now();
-        self.drain();
-        for (idx, t) in self.tenants.iter_mut().enumerate() {
-            self.series[idx].extend(t.run.flush_telemetry());
-        }
         let mut stats = CpuStats::default();
         let (mut syscalls, mut instructions, mut cycles) = (0, 0, 0);
         let tenants: Vec<TenantReport> = self
             .tenants
             .into_iter()
-            .zip(self.series)
-            .map(|(t, series)| {
+            .map(|mut t| {
+                let series = t.run.take_series();
                 let workload = t.run.workload_name().to_string();
                 let name = t.run.name().to_string();
                 let totals = t.run.into_totals();
@@ -431,7 +399,11 @@ pub(crate) fn run_pool(plan: &FleetPlan, workers: usize) -> PoolOutcome {
             scope.spawn(move || {
                 let mut idle_spins = 0u32;
                 while remaining.load(Ordering::Acquire) > 0 {
-                    let task = queues[me].lock().unwrap().pop_back().or_else(|| {
+                    // Own pop in its own statement: the guard must drop
+                    // before stealing, or two idle workers stealing from
+                    // each other each hold the lock the other waits on.
+                    let own = queues[me].lock().unwrap().pop_back();
+                    let task = own.or_else(|| {
                         (1..workers).find_map(|offset| {
                             let victim = (me + offset) % workers;
                             let stolen = queues[victim].lock().unwrap().pop_front();

@@ -140,25 +140,6 @@ fn tenant_accounting_is_exact() {
 }
 
 #[test]
-#[allow(deprecated)]
-fn sharded_driver_alias_matches_a_single_tenant_fleet() {
-    use camo_smp::{ShardedDriver, TrafficPlan};
-    let traffic = TrafficPlan::new(2, 64, 2024);
-    let legacy = ShardedDriver::drive_sequential(&traffic).expect("alias runs");
-    let fleet = FleetDriver::drive_sequential(&traffic.to_fleet()).expect("fleet runs");
-    assert_eq!(legacy.syscalls, fleet.syscalls);
-    assert_eq!(legacy.instructions, fleet.instructions);
-    assert_eq!(legacy.cycles, fleet.cycles);
-    assert_eq!(legacy.stats, fleet.stats);
-    for (l, f) in legacy.shards.iter().zip(&fleet.shards) {
-        assert_eq!(
-            (l.shard, l.seed, l.syscalls, l.cycles),
-            (f.shard, f.seed, f.syscalls, f.cycles)
-        );
-    }
-}
-
-#[test]
 fn tenant_streams_survive_plan_membership_changes() {
     // Per-tenant op streams are seeded by `tenant_stream_seed(seed,
     // shard, name)` — derived from the tenant's *name*, not its index —

@@ -4,6 +4,7 @@
 //! invisible, and the off arm is bit-identical to the on arm in
 //! everything architectural.
 
+use camo_cpu::telemetry::WINDOW_OPS;
 use camo_cpu::CpuStats;
 use camo_smp::{FleetDriver, FleetPlan, TenantReport};
 use camo_workloads::TenantSpec;
@@ -52,15 +53,24 @@ fn every_tenant_series_sums_exactly_to_its_totals() {
             t.name
         );
         // Cross-shard concatenation: seqs restart per shard segment but
-        // are dense and ordered within each.
+        // are dense and ordered within each, and only a segment's last
+        // window may hold fewer than WINDOW_OPS ops.
         let mut expected_seq = 0;
-        for w in &t.series {
+        for (i, w) in t.series.iter().enumerate() {
             if w.seq == 0 {
                 expected_seq = 0;
             }
             assert_eq!(w.seq, expected_seq, "{}: series seq not dense", t.name);
             expected_seq += 1;
             assert!(w.ops > 0, "{}: empty window published", t.name);
+            let segment_last = t.series.get(i + 1).is_none_or(|next| next.seq == 0);
+            assert!(
+                w.ops == WINDOW_OPS || (segment_last && w.ops < WINDOW_OPS),
+                "{}: window {} holds {} ops off the {WINDOW_OPS}-op cadence",
+                t.name,
+                w.seq,
+                w.ops
+            );
         }
     }
 }

@@ -5,7 +5,7 @@ use crate::hist::LatencyHistogram;
 use crate::workload::{ExpectedOutcome, HostileOp, Op, Workload};
 use camo_codegen::{FunctionBuilder, Program, StaticPointerTable};
 use camo_cpu::pac::KeyClass;
-use camo_cpu::telemetry::{StatWindow, TelemetryEmitter};
+use camo_cpu::telemetry::{self, StatWindow};
 use camo_cpu::CpuStats;
 use camo_isa::{encode, Insn, Reg, SysReg};
 use camo_kernel::layout::{self, file_struct, task_struct, work_struct};
@@ -195,11 +195,11 @@ pub struct TenantRun {
     totals: TenantTotals,
     /// Event-drain scratch, reused per op (allocation-free steady state).
     events: Vec<KernelEvent>,
-    /// Producer half of the streaming stats plane, present when the
-    /// kernel booted with `telemetry` on. Purely host-side: it re-reads
-    /// the per-op deltas [`TenantRun::step`] already computes, so the
-    /// simulation is bit-identical with or without it.
-    telemetry: Option<TelemetryEmitter>,
+    /// The tenant's telemetry series, present when the kernel booted
+    /// with `telemetry` on. Purely host-side: it re-reads the per-op
+    /// deltas [`TenantRun::step`] already computes, so the simulation is
+    /// bit-identical with or without it.
+    series: Option<Vec<StatWindow>>,
 }
 
 impl std::fmt::Debug for dyn Workload + Send {
@@ -240,9 +240,7 @@ impl TenantRun {
             turn: 0,
             totals: TenantTotals::new(),
             events,
-            // Registration order is construction order, so a driver that
-            // builds its tenants in plan order gets plan-indexed ids.
-            telemetry: kernel.telemetry_ring().map(TelemetryEmitter::new),
+            series: kernel.config().telemetry.then(Vec::new),
         })
     }
 
@@ -266,19 +264,10 @@ impl TenantRun {
         self.totals
     }
 
-    /// This tenant's telemetry producer id on the shard ring (`None`
-    /// when the plane is off).
-    pub fn telemetry_tenant(&self) -> Option<u64> {
-        self.telemetry.as_ref().map(|t| t.tenant())
-    }
-
-    /// End-of-run telemetry flush: the final partial [`StatWindow`],
-    /// delivered directly (it never goes through the ring, so the sum of
-    /// a tenant's drained windows plus this one equals its totals even
-    /// if the ring was full at every boundary). `None` when the plane is
-    /// off or everything was already published.
-    pub fn flush_telemetry(&mut self) -> Option<StatWindow> {
-        self.telemetry.as_mut().and_then(TelemetryEmitter::flush)
+    /// Takes the telemetry series recorded so far (empty when the plane
+    /// is off).
+    pub fn take_series(&mut self) -> Vec<StatWindow> {
+        self.series.as_mut().map(std::mem::take).unwrap_or_default()
     }
 
     /// The tenant's current task (round-robin over its task pool).
@@ -333,8 +322,8 @@ impl TenantRun {
         self.totals.cycles += cycles;
         self.totals.stats.merge(&delta);
         self.totals.latency.record(cycles);
-        if let Some(t) = &mut self.telemetry {
-            t.record(syscalls, cycles, &delta);
+        if let Some(series) = &mut self.series {
+            telemetry::record(series, syscalls, cycles, &delta);
         }
         Ok(OpReport {
             syscalls,

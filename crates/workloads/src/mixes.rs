@@ -5,16 +5,15 @@ use camo_kernel::SYSCALLS;
 use rand::rngs::StdRng;
 use rand::Rng;
 
-/// Syscalls per [`Op::Syscall`] batch emitted by [`LmbenchMix`] — the
-/// PR-3 `ShardedDriver` batch size, kept so the compatibility alias
-/// replays the same `run_user` sequence.
+/// Syscalls per [`Op::Syscall`] batch emitted by [`LmbenchMix`]. Part of
+/// the mix's definition: changing it changes the `run_user` sequence, and
+/// with it every simulated total of an lmbench tenant (BENCH_3's among
+/// them).
 pub const LMBENCH_BATCH: u64 = 16;
 
 /// The paper's lmbench syscall mix (Figure 3), as a workload: every
 /// modeled syscall in spec order, round-robin, in batches of
-/// [`LMBENCH_BATCH`]. Fully deterministic — the RNG is untouched — which
-/// is exactly the PR-3 `ShardedDriver` traffic shape extracted into the
-/// pluggable API.
+/// [`LMBENCH_BATCH`]. Fully deterministic — the RNG is untouched.
 #[derive(Debug, Default)]
 pub struct LmbenchMix {
     turn: usize,

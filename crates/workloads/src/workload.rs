@@ -227,10 +227,10 @@ pub enum Quota {
     /// Number of [`Op`]s to execute.
     Ops(u64),
     /// Number of syscalls to serve. [`Op::Syscall`] batches are clamped
-    /// so a syscall-only workload (the lmbench mix — the PR-3
-    /// `TrafficPlan` semantics) hits the quota exactly; ops of other
-    /// kinds cannot be clamped mid-op, so a mixed workload under this
-    /// quota may overshoot by at most one op's worth of syscalls.
+    /// so a syscall-only workload (the lmbench mix) hits the quota
+    /// exactly; ops of other kinds cannot be clamped mid-op, so a mixed
+    /// workload under this quota may overshoot by at most one op's worth
+    /// of syscalls.
     Syscalls(u64),
 }
 

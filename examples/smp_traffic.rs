@@ -8,7 +8,8 @@
 //! ```
 
 use camouflage::kernel::{KernelConfig, KernelError, KernelEvent};
-use camouflage::smp::{Cluster, FleetDriver, TrafficPlan};
+use camouflage::smp::{Cluster, FleetDriver, FleetPlan};
+use camouflage::workloads::TenantSpec;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     // ── In-machine SMP ──────────────────────────────────────────────────
@@ -83,9 +84,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         "shards", "syscalls", "wall st/s", "capacity st/s"
     );
     for shards in [1, 2, 4] {
-        // The PR-3 traffic plan, served by the fleet engine as a single
-        // lmbench tenant.
-        let plan = TrafficPlan::new(shards, 4_000, 0xCAF0_0D5E).to_fleet();
+        // One lmbench tenant whose syscall quota is split across shards.
+        let plan = FleetPlan::new(
+            shards,
+            0xCAF0_0D5E,
+            vec![TenantSpec::lmbench("lmbench", 4_000)],
+        );
         let par = FleetDriver::drive(&plan)?;
         let seq = FleetDriver::drive_sequential(&plan)?;
         assert!(

@@ -1,5 +1,5 @@
-//! Streaming stats plane: the same four-tenant fleet as the `fleet`
-//! example with per-shard ring-buffer telemetry switched on, printing
+//! Stats plane: the same four-tenant fleet as the `fleet` example with
+//! per-tenant telemetry series switched on, printing
 //! each tenant's time series — cycles per window, translation-cache hit
 //! rate, PAC failures — and proving the windows sum back to the
 //! end-of-run totals.
