@@ -181,113 +181,138 @@ pub mod key_switch {
 /// Everything else in this crate measures *simulated cycles* — the paper's
 /// quantity, unaffected by the fast-path caches by design. This module
 /// measures *host seconds per simulated step*: the thing the software TLB,
-/// decoded-instruction cache and warm QARMA schedules exist to improve.
+/// decoded-instruction cache, warm QARMA schedules and the block and trace
+/// engines exist to improve. Every engine knob is read from a
+/// [`camo_smp::FleetPlan`], so one plan edit configures a single-machine arm and a
+/// fleet arm alike.
 pub mod perf {
     use super::fig2;
     use camo_codegen::CfiScheme;
-    use camo_core::{Machine, ProtectionLevel};
+    use camo_core::Machine;
+    use camo_cpu::CpuStats;
     use camo_kernel::SYSCALLS;
     use camo_lmbench::workload_config;
+    use camo_smp::{FleetPlan, FleetReport};
     use std::time::Instant;
 
-    /// One wall-clock measurement of a workload.
+    /// One wall-clock measurement of a single-machine workload.
     #[derive(Debug, Clone, Copy, PartialEq)]
-    pub struct PerfSample {
-        /// Whether the fast-path caches were enabled.
-        pub caches: bool,
+    pub struct Sample {
         /// Simulated instructions retired.
         pub instructions: u64,
-        /// Simulated cycles consumed (must not depend on `caches`).
+        /// Simulated cycles consumed (must not depend on any engine knob).
         pub cycles: u64,
         /// Host wall-clock seconds.
         pub wall_secs: f64,
-        /// Simulated instructions per host second.
-        pub steps_per_sec: f64,
-        /// PAC-unit MAC-memo hits (0 with caches off).
-        pub pac_memo_hits: u64,
-        /// PAC-unit MAC-memo misses (0 with caches off).
-        pub pac_memo_misses: u64,
+        /// The machine's counters after the run: PAC memo, block and
+        /// trace caches, and the rest of [`CpuStats`].
+        pub stats: CpuStats,
     }
 
-    fn sample(
-        caches: bool,
-        instructions: u64,
-        cycles: u64,
-        wall_secs: f64,
-        memo: (u64, u64),
-    ) -> PerfSample {
-        PerfSample {
-            caches,
-            instructions,
-            cycles,
-            wall_secs,
-            steps_per_sec: instructions as f64 / wall_secs.max(1e-9),
-            pac_memo_hits: memo.0,
-            pac_memo_misses: memo.1,
+    impl Sample {
+        /// Simulated instructions per host second.
+        pub fn steps_per_sec(&self) -> f64 {
+            self.instructions as f64 / self.wall_secs.max(1e-9)
         }
     }
 
-    /// The one Figure-2 wall-clock harness behind every A/B: builds the
-    /// call loop, applies the cache, block-engine and trace-engine knobs,
-    /// runs, and samples. `recorded` is the value stored in
-    /// [`PerfSample::caches`] (the toggled axis of whichever A/B is
-    /// calling).
-    pub(crate) fn fig2_sample(
-        iters: u64,
-        caches: bool,
-        blocks: bool,
-        traces: bool,
-        recorded: bool,
-    ) -> (PerfSample, camo_cpu::CpuStats) {
-        let (mut cpu, mut mem, driver_va) = fig2::build_call_loop(CfiScheme::Camouflage);
-        cpu.set_block_engine(blocks);
-        cpu.set_trace_engine(traces);
-        cpu.set_caching(caches);
-        mem.set_caching(caches);
-        let start = Instant::now();
-        let result = cpu
-            .call(&mut mem, driver_va, &[iters], 64 * iters + 1024)
-            .expect("benchmark loop runs");
-        let wall = start.elapsed().as_secs_f64();
-        let stats = cpu.stats();
-        (
-            sample(
-                recorded,
-                result.instructions,
-                result.cycles,
-                wall,
-                (stats.pac_memo_hits, stats.pac_memo_misses),
-            ),
-            stats,
-        )
+    /// A measurement that can be repeated for a best-of estimate: the
+    /// wall clock may vary between repeats, the simulation may not.
+    pub trait Repeat {
+        /// Whether two repeats simulated exactly the same thing.
+        fn same_simulation(&self, other: &Self) -> bool;
+        /// Whether this repeat ran faster on the host than `other`.
+        fn faster_than(&self, other: &Self) -> bool;
+    }
+
+    impl Repeat for Sample {
+        fn same_simulation(&self, other: &Sample) -> bool {
+            (self.instructions, self.cycles) == (other.instructions, other.cycles)
+        }
+
+        fn faster_than(&self, other: &Sample) -> bool {
+            self.steps_per_sec() > other.steps_per_sec()
+        }
+    }
+
+    impl Repeat for FleetReport {
+        fn same_simulation(&self, other: &FleetReport) -> bool {
+            self.simulation_identical(other)
+        }
+
+        fn faster_than(&self, other: &FleetReport) -> bool {
+            self.wall_secs < other.wall_secs
+        }
+    }
+
+    /// The faster of two repeats (`best` on a tie).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the repeats disagree on the simulation — that is a
+    /// determinism bug, not host noise.
+    pub fn faster<T: Repeat>(best: T, next: T) -> T {
+        assert!(
+            next.same_simulation(&best),
+            "simulation must be deterministic across repeats"
+        );
+        if next.faster_than(&best) {
+            next
+        } else {
+            best
+        }
+    }
+
+    /// Best of `n` repeats of `run` (see [`faster`]). Shared CI hosts are
+    /// noisy, and the minimum wall time is the least contaminated
+    /// estimate.
+    ///
+    /// # Panics
+    ///
+    /// Panics if two repeats disagree on the simulation.
+    pub fn best_of<T: Repeat>(n: usize, mut run: impl FnMut() -> T) -> T {
+        let first = run();
+        (1..n).fold(first, |best, _| faster(best, run()))
     }
 
     /// The Figure-2 call loop (Camouflage scheme) run for `iters`
-    /// iterations with the caches on or off.
-    ///
-    /// BENCH_2 isolates the PR-2 cache A/B: the block engine is pinned
-    /// off in both arms (its own A/B is `perfcheck --blocks`).
+    /// iterations on one bare CPU, under `plan`'s fast-path cache,
+    /// block-engine and trace-engine knobs.
     ///
     /// # Panics
     ///
     /// Panics if the simulation fails (a harness bug).
-    pub fn hot_loop(iters: u64, caches: bool) -> PerfSample {
-        fig2_sample(iters, caches, false, false, caches).0
+    pub fn hot_loop(iters: u64, plan: &FleetPlan) -> Sample {
+        let (mut cpu, mut mem, driver_va) = fig2::build_call_loop(CfiScheme::Camouflage);
+        cpu.set_block_engine(plan.block_engine);
+        cpu.set_trace_engine(plan.trace_engine);
+        cpu.set_caching(plan.fast_caches);
+        mem.set_caching(plan.fast_caches);
+        let start = Instant::now();
+        let result = cpu
+            .call(&mut mem, driver_va, &[iters], 64 * iters + 1024)
+            .expect("benchmark loop runs");
+        Sample {
+            instructions: result.instructions,
+            cycles: result.cycles,
+            wall_secs: start.elapsed().as_secs_f64(),
+            stats: cpu.stats(),
+        }
     }
 
     /// The lmbench syscall mix (every modeled syscall, `reps` rounds each)
-    /// on a fully protected machine booted from `seed`, with the caches on
-    /// or off.
+    /// on one machine booted from `plan`'s seed, protection level and
+    /// engine knobs.
     ///
     /// # Panics
     ///
     /// Panics if boot or a syscall fails (a harness bug).
-    pub fn syscall_mix(reps: u64, caches: bool, seed: u64) -> PerfSample {
-        let mut cfg = workload_config(ProtectionLevel::Full);
-        cfg.fast_caches = caches;
-        // Same pinning as `hot_loop`: BENCH_2 measures the caches alone.
-        cfg.block_engine = false;
-        cfg.seed = seed;
+    pub fn syscall_mix(reps: u64, plan: &FleetPlan) -> Sample {
+        let mut cfg = workload_config(plan.protection);
+        cfg.fast_caches = plan.fast_caches;
+        cfg.block_engine = plan.block_engine;
+        cfg.trace_engine = plan.trace_engine;
+        cfg.seed = plan.seed;
         let mut machine = Machine::with_config(cfg).expect("boot");
         let kernel = machine.kernel_mut();
         let tid = kernel.current_task().tid;
@@ -301,91 +326,27 @@ pub mod perf {
             instructions += out.instructions;
             cycles += out.cycles;
         }
-        let wall = start.elapsed().as_secs_f64();
-        let stats = machine.kernel().cpu().stats();
-        sample(
-            caches,
+        Sample {
             instructions,
             cycles,
-            wall,
-            (stats.pac_memo_hits, stats.pac_memo_misses),
-        )
-    }
-
-    /// One point of the sharded-scaling curve (`BENCH_3.json`).
-    #[derive(Debug, Clone, Copy, PartialEq)]
-    pub struct ScalingPoint {
-        /// Shard (machine) count.
-        pub shards: usize,
-        /// Syscalls served across all shards.
-        pub syscalls: u64,
-        /// Simulated instructions retired across all shards.
-        pub instructions: u64,
-        /// Simulated cycles across all shards.
-        pub cycles: u64,
-        /// Wall seconds of the parallel fan-out on this host.
-        pub parallel_wall_secs: f64,
-        /// Aggregate simulated steps per wall second the parallel run
-        /// delivered on this host (bounded by the host's core count).
-        pub parallel_steps_per_sec: f64,
-        /// Aggregate shard capacity: sum of isolated per-shard rates from
-        /// a sequential run — the pool's service rate given one unloaded
-        /// core per shard.
-        pub capacity_steps_per_sec: f64,
-        /// Whether the parallel and sequential runs produced bit-identical
-        /// simulated totals (they must; sharding mode is architecturally
-        /// invisible).
-        pub simulation_identical: bool,
-        /// Host workers the parallel run's pool actually used — the
-        /// context the wall numbers are meaningless without.
-        pub host_workers: usize,
-        /// Shard tasks stolen across workers during the parallel run.
-        pub steals: u64,
-    }
-
-    /// Measures one shard count of the lmbench-mix scaling curve: the same
-    /// deterministic plan is run once on the thread pool (wall scaling on
-    /// this host) and once sequentially (isolated shard capacity), and the
-    /// simulated totals are cross-checked bit for bit.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a shard fails (benign traffic must not fault).
-    pub fn smp_scaling(shards: usize, total_syscalls: u64, seed: u64) -> ScalingPoint {
-        use camo_smp::{FleetDriver, FleetPlan};
-        use camo_workloads::TenantSpec;
-        // One lmbench tenant whose syscall quota is split across shards.
-        let plan = FleetPlan::new(
-            shards,
-            seed,
-            vec![TenantSpec::lmbench("lmbench", total_syscalls)],
-        );
-        let par = FleetDriver::drive(&plan).expect("parallel traffic runs");
-        let seq = FleetDriver::drive_sequential(&plan).expect("sequential traffic runs");
-        ScalingPoint {
-            shards,
-            syscalls: par.syscalls,
-            instructions: par.instructions,
-            cycles: par.cycles,
-            parallel_wall_secs: par.wall_secs,
-            parallel_steps_per_sec: par.steps_per_sec(),
-            capacity_steps_per_sec: seq.capacity_steps_per_sec(),
-            simulation_identical: par.simulation_identical(&seq),
-            host_workers: par.exec.workers,
-            steals: par.exec.steals,
+            wall_secs: start.elapsed().as_secs_f64(),
+            stats: machine.kernel().cpu().stats(),
         }
     }
 }
 
-/// The multi-tenant fleet benchmark (`perfcheck --fleet`, `BENCH_4.json`).
+/// Fleet measurements and the identity predicates every fleet gate uses.
 ///
-/// One standard tenant mix — lmbench traffic, a fork/exec churn storm,
+/// The standard tenant mix — lmbench traffic, a fork/exec churn storm,
 /// module load/unload churn, and a context-switch-heavy tenant — served
 /// across shards by [`camo_smp::FleetDriver`], measured in both execution
-/// modes and cross-checked bit for bit. The documented contract for every
-/// emitted field lives in `BENCHMARKS.md`.
+/// modes and cross-checked bit for bit. A [`fleet::FleetAb`] runs one plan under
+/// two plan edits: that is how `perfcheck` toggles the block engine, the
+/// trace tier and the telemetry plane.
 pub mod fleet {
-    use camo_smp::{FleetDriver, FleetPlan, FleetReport};
+    use super::perf::{faster, Repeat};
+    use camo_cpu::CpuStats;
+    use camo_smp::{FleetDriver, FleetPlan, FleetReport, TenantReport};
     use camo_workloads::TenantSpec;
 
     /// The standard four-tenant mix (`--smoke` shrinks it to two tenants
@@ -409,8 +370,6 @@ pub mod fleet {
     /// One fleet measurement: the same plan in both execution modes.
     #[derive(Debug)]
     pub struct FleetMeasurement {
-        /// The plan that was run.
-        pub plan: FleetPlan,
         /// The thread-pool run (wall scaling on this host).
         pub parallel: FleetReport,
         /// The back-to-back run (isolated per-shard capacity).
@@ -420,415 +379,122 @@ pub mod fleet {
         pub identical: bool,
     }
 
-    /// The togglable knobs of one fleet measurement. Every A/B harness
-    /// (`--blocks`, `--traces`, `--fuzz`, `--telemetry`) is
-    /// [`measure_opts`] with a different field flipped; the defaults are
-    /// the production configuration (engines on, telemetry off, the
-    /// kernel's own panic threshold).
-    #[derive(Debug, Clone, Copy)]
-    pub struct FleetOpts {
-        /// Basic-block translation engine ([`FleetPlan::block_engine`]).
-        pub block_engine: bool,
-        /// Trace tier ([`FleetPlan::trace_engine`]; only active while
-        /// the block engine is on).
-        pub trace_engine: bool,
-        /// Streaming stats plane ([`FleetPlan::telemetry`]).
-        pub telemetry: bool,
-        /// §5.4 panic-threshold override
-        /// ([`FleetPlan::pac_panic_threshold`]); adversarial plans lift
-        /// it so the gates, not the panic, judge every attack.
-        pub pac_panic_threshold: Option<u32>,
-    }
-
-    impl Default for FleetOpts {
-        fn default() -> Self {
-            FleetOpts {
-                block_engine: true,
-                trace_engine: true,
-                telemetry: false,
-                pac_panic_threshold: None,
-            }
-        }
-    }
-
-    /// Runs `tenants` across `shards` machines of `cpus_per_shard` cores,
-    /// both parallel and sequential, and cross-checks the simulated
-    /// outcome.
+    /// Runs `plan` parallel and sequential, and cross-checks the
+    /// simulated outcome.
     ///
     /// # Panics
     ///
-    /// Panics if a shard fails (benign traffic must not fault).
-    pub fn measure(
-        shards: usize,
-        cpus_per_shard: usize,
-        seed: u64,
-        tenants: Vec<TenantSpec>,
-    ) -> FleetMeasurement {
-        measure_opts(shards, cpus_per_shard, seed, tenants, FleetOpts::default())
-    }
-
-    /// [`measure`] with an explicit block-engine setting and the trace
-    /// tier pinned **off** in both states — the `perfcheck --blocks`
-    /// fleet A/B runs it once per arm, isolating tier 1 exactly as
-    /// BENCH_5 always has.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a shard fails (benign traffic must not fault).
-    pub fn measure_with_blocks(
-        shards: usize,
-        cpus_per_shard: usize,
-        seed: u64,
-        tenants: Vec<TenantSpec>,
-        block_engine: bool,
-    ) -> FleetMeasurement {
-        let opts = FleetOpts {
-            block_engine,
-            trace_engine: false,
-            ..FleetOpts::default()
-        };
-        measure_opts(shards, cpus_per_shard, seed, tenants, opts)
-    }
-
-    /// [`measure`] with both translation-engine tiers explicit — the
-    /// `perfcheck --traces` fleet A/B runs it with blocks pinned on and
-    /// the trace tier toggled.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a shard fails (benign traffic must not fault).
-    pub fn measure_with_engines(
-        shards: usize,
-        cpus_per_shard: usize,
-        seed: u64,
-        tenants: Vec<TenantSpec>,
-        block_engine: bool,
-        trace_engine: bool,
-    ) -> FleetMeasurement {
-        let opts = FleetOpts {
-            block_engine,
-            trace_engine,
-            ..FleetOpts::default()
-        };
-        measure_opts(shards, cpus_per_shard, seed, tenants, opts)
-    }
-
-    /// The one fleet harness behind every measurement: builds the plan
-    /// from `opts`, runs both execution modes, cross-checks them.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a shard fails (benign traffic must not fault).
-    pub fn measure_opts(
-        shards: usize,
-        cpus_per_shard: usize,
-        seed: u64,
-        tenants: Vec<TenantSpec>,
-        opts: FleetOpts,
-    ) -> FleetMeasurement {
-        let mut plan = FleetPlan::new(shards, seed, tenants);
-        plan.cpus_per_shard = cpus_per_shard;
-        plan.block_engine = opts.block_engine;
-        plan.trace_engine = opts.trace_engine;
-        plan.telemetry = opts.telemetry;
-        plan.pac_panic_threshold = opts.pac_panic_threshold;
-        let parallel = FleetDriver::drive(&plan).expect("parallel fleet runs");
-        let sequential = FleetDriver::drive_sequential(&plan).expect("sequential fleet runs");
+    /// Panics if a shard fails (the executor propagates only
+    /// infrastructure errors; benign traffic must not fault, and attack
+    /// outcomes are recorded, not thrown).
+    pub fn measure(plan: &FleetPlan) -> FleetMeasurement {
+        let parallel = FleetDriver::drive(plan).expect("parallel fleet runs");
+        let sequential = FleetDriver::drive_sequential(plan).expect("sequential fleet runs");
         let identical = parallel.simulation_identical(&sequential);
         FleetMeasurement {
-            plan,
             parallel,
             sequential,
             identical,
         }
     }
-}
 
-/// The block-translation-engine A/B (`perfcheck --blocks`, `BENCH_5.json`).
-///
-/// Same quantities as [`perf`] — host wall time per simulated step — but
-/// the toggled axis is the basic-block translation engine rather than the
-/// PR-2 caches. Both arms run with the fast-path caches **on**: the block
-/// engine's job is to beat the already-cached step loop, not the per-byte
-/// seed path.
-pub mod blocks {
-    use super::fleet::{measure_with_blocks, FleetMeasurement};
-    use super::perf::PerfSample;
-    use camo_smp::FleetReport;
-    use camo_workloads::TenantSpec;
+    impl Repeat for FleetMeasurement {
+        fn same_simulation(&self, other: &FleetMeasurement) -> bool {
+            self.parallel.simulation_identical(&other.parallel)
+                && self.sequential.simulation_identical(&other.sequential)
+        }
 
-    /// One wall-clock measurement with the block engine on or off, plus
-    /// the engine's own cache counters.
-    #[derive(Debug, Clone, Copy, PartialEq)]
-    pub struct BlockSample {
-        /// The throughput sample (`caches` records the *block engine*
-        /// setting here; the fast-path caches are always on).
-        pub sample: PerfSample,
-        /// Block-cache hits (0 with the engine off).
-        pub block_hits: u64,
-        /// Block-cache misses (0 with the engine off).
-        pub block_misses: u64,
-        /// Block invalidations (0 with the engine off).
-        pub block_invalidations: u64,
-    }
-
-    /// The Figure-2 call loop (Camouflage scheme), fast-path caches on,
-    /// block engine toggled — the same harness as [`super::perf::hot_loop`],
-    /// toggling the other knob.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the simulation fails (a harness bug).
-    pub fn hot_loop(iters: u64, blocks: bool) -> BlockSample {
-        // Trace tier pinned off in both arms: BENCH_5 measures tier 1
-        // alone, and stays a regression guard that tier-1 behaviour did
-        // not shift under the new tier.
-        let (sample, stats) = super::perf::fig2_sample(iters, true, blocks, false, blocks);
-        BlockSample {
-            sample,
-            block_hits: stats.block_hits,
-            block_misses: stats.block_misses,
-            block_invalidations: stats.block_invalidations,
+        /// Judged on isolated-shard capacity from the sequential run,
+        /// which host contention cannot inflate.
+        fn faster_than(&self, other: &FleetMeasurement) -> bool {
+            self.sequential.capacity_steps_per_sec() > other.sequential.capacity_steps_per_sec()
         }
     }
 
-    /// The fleet mix measured with the engine on and off (each arm runs
-    /// parallel *and* sequential, so the existing
-    /// `simulation_identical` gate applies per arm).
+    /// One plan measured under two plan edits; each arm runs parallel
+    /// *and* sequential, so the `simulation_identical` gate applies per
+    /// arm.
     #[derive(Debug)]
     pub struct FleetAb {
-        /// Engine-on measurement.
+        /// The `on` edit's measurement.
         pub on: FleetMeasurement,
-        /// Engine-off measurement.
+        /// The `off` edit's measurement.
         pub off: FleetMeasurement,
     }
 
     impl FleetAb {
-        /// Whether the engine-on and engine-off fleets agreed on every
-        /// architectural quantity: totals, per-tenant counters
-        /// ([`camo_cpu::CpuStats::arch_eq`] for the stats), and the
-        /// per-tenant simulated-cycle latency histograms.
+        /// Runs `plan` edited by `off`, then `plan` edited by `on` (off
+        /// first, so the on arm cannot benefit from a warmer host).
+        ///
+        /// # Panics
+        ///
+        /// Panics if a shard fails.
+        pub fn measure(
+            plan: &FleetPlan,
+            off: fn(&mut FleetPlan),
+            on: fn(&mut FleetPlan),
+        ) -> FleetAb {
+            let arm = |edit: fn(&mut FleetPlan)| {
+                let mut plan = plan.clone();
+                edit(&mut plan);
+                measure(&plan)
+            };
+            let off = arm(off);
+            let on = arm(on);
+            FleetAb { on, off }
+        }
+
+        /// Best of `repeats` A/B runs: every repeat runs off then on, and
+        /// each arm keeps its fastest repeat ([`faster`]).
+        ///
+        /// # Panics
+        ///
+        /// Panics if two repeats of an arm disagree on the simulation.
+        pub fn best_of(repeats: usize, mut run: impl FnMut() -> FleetAb) -> FleetAb {
+            let first = run();
+            (1..repeats).fold(first, |best, _| {
+                let next = run();
+                FleetAb {
+                    on: faster(best.on, next.on),
+                    off: faster(best.off, next.off),
+                }
+            })
+        }
+
+        /// [`arch_identical`] across the two arms' parallel runs.
         pub fn arch_identical(&self) -> bool {
             arch_identical(&self.on.parallel, &self.off.parallel)
         }
 
-        /// Engine-on capacity over engine-off capacity (isolated-shard
-        /// rates from the sequential runs — host-contention free).
+        /// On-arm capacity over off-arm capacity (isolated-shard rates
+        /// from the sequential runs — host-contention free).
         pub fn speedup(&self) -> f64 {
             self.on.sequential.capacity_steps_per_sec()
                 / self.off.sequential.capacity_steps_per_sec().max(1e-9)
         }
     }
 
-    /// Whether two fleet reports are architecturally identical —
+    /// Whether two fleet reports are architecturally identical:
     /// everything the simulation defines except the cache-observability
-    /// counters (which legitimately differ across engines).
+    /// counters, which legitimately differ across engines. That is the
+    /// totals, the merged stats under [`CpuStats::arch_eq`], and every
+    /// tenant under [`tenant_arch_identical`].
     pub fn arch_identical(a: &FleetReport, b: &FleetReport) -> bool {
         a.syscalls == b.syscalls
             && a.instructions == b.instructions
             && a.cycles == b.cycles
             && a.stats.arch_eq(&b.stats)
             && a.tenants.len() == b.tenants.len()
-            && a.tenants.iter().zip(&b.tenants).all(|(x, y)| {
-                x.name == y.name
-                    && x.totals.ops == y.totals.ops
-                    && x.totals.syscalls == y.totals.syscalls
-                    && x.totals.instructions == y.totals.instructions
-                    && x.totals.cycles == y.totals.cycles
-                    && x.totals.stats.arch_eq(&y.totals.stats)
-                    && x.totals.latency == y.totals.latency
-            })
+            && a.tenants
+                .iter()
+                .zip(&b.tenants)
+                .all(|(x, y)| tenant_arch_identical(x, y))
     }
 
-    /// Runs the fleet mix once per engine arm.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a shard fails (benign traffic must not fault).
-    pub fn fleet_ab(
-        shards: usize,
-        cpus_per_shard: usize,
-        seed: u64,
-        tenants: Vec<TenantSpec>,
-    ) -> FleetAb {
-        // Engine off first, so the on-arm cannot benefit from a warmer
-        // host (same ordering rationale as the BENCH_2 harness).
-        let off = measure_with_blocks(shards, cpus_per_shard, seed, tenants.clone(), false);
-        let on = measure_with_blocks(shards, cpus_per_shard, seed, tenants, true);
-        FleetAb { on, off }
-    }
-}
-
-/// The trace-tier A/B (`perfcheck --traces`, `BENCH_7.json`).
-///
-/// Both arms run with the fast-path caches **and** the block engine on:
-/// the trace tier's job is to beat the already-blocked engine (BENCH_5's
-/// on-arm), the way BENCH_5's job was to beat the already-cached step
-/// loop. The toggled axis is [`camo_cpu::Cpu::set_trace_engine`] /
-/// [`camo_smp::FleetPlan::trace_engine`].
-pub mod traces {
-    use super::fleet::measure_with_engines;
-    use super::perf::PerfSample;
-    use camo_workloads::TenantSpec;
-
-    // The verdict helpers are shared with the BENCH_5 harness: the gates
-    // (architectural identity, parallel≡sequential) are the same, only
-    // the toggled knob differs.
-    pub use super::blocks::FleetAb;
-
-    /// One wall-clock measurement with the trace tier on or off, plus the
-    /// tier's own cache counters.
-    #[derive(Debug, Clone, Copy, PartialEq)]
-    pub struct TraceSample {
-        /// The throughput sample (`caches` records the *trace engine*
-        /// setting here; fast-path caches and block engine are always on).
-        pub sample: PerfSample,
-        /// Trace-cache hits (0 with the tier off).
-        pub trace_hits: u64,
-        /// Traces built (0 with the tier off).
-        pub trace_misses: u64,
-        /// Trace invalidations.
-        pub trace_invalidations: u64,
-        /// Chain continuations inside engine calls (block- or trace-exit
-        /// edges followed without returning to the run loop).
-        pub chain_follows: u64,
-        /// Tier-1 block-cache hits — with the tier on, hot work moves out
-        /// of these into `trace_hits`.
-        pub block_hits: u64,
-    }
-
-    /// The Figure-2 call loop (Camouflage scheme), fast-path caches and
-    /// block engine on, trace tier toggled — the same harness as
-    /// [`super::blocks::hot_loop`], toggling the next knob up.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the simulation fails (a harness bug).
-    pub fn hot_loop(iters: u64, traces: bool) -> TraceSample {
-        let (sample, stats) = super::perf::fig2_sample(iters, true, true, traces, traces);
-        TraceSample {
-            sample,
-            trace_hits: stats.trace_hits,
-            trace_misses: stats.trace_misses,
-            trace_invalidations: stats.trace_invalidations,
-            chain_follows: stats.chain_follows,
-            block_hits: stats.block_hits,
-        }
-    }
-
-    /// Runs the fleet mix once per trace-tier arm (block engine pinned on
-    /// in both).
-    ///
-    /// # Panics
-    ///
-    /// Panics if a shard fails (benign traffic must not fault).
-    pub fn fleet_ab(
-        shards: usize,
-        cpus_per_shard: usize,
-        seed: u64,
-        tenants: Vec<TenantSpec>,
-    ) -> FleetAb {
-        // Tier off first, same warm-host ordering rationale as BENCH_5.
-        let off = measure_with_engines(shards, cpus_per_shard, seed, tenants.clone(), true, false);
-        let on = measure_with_engines(shards, cpus_per_shard, seed, tenants, true, true);
-        FleetAb { on, off }
-    }
-}
-
-/// The adversarial traffic plane (`perfcheck --fuzz`, `BENCH_6.json`).
-///
-/// Seeded fuzz tenants mount the [`camo_workloads::HostileOp`] attacks —
-/// forged and replayed signed stack pointers, forged `f_ops`/work-callback
-/// pointers, module-signing violations, direct physical writes to
-/// translated code — *under load*, interleaved with benign tenants on the
-/// same machines. Three property families are gated:
-///
-/// 1. **Attribution**: every hostile op produced exactly its declared
-///    expected outcome (the right [`camo_cpu::pac::KeyClass`] failure on
-///    the right sacrificial task, a module rejection, or coherent tamper
-///    visibility) and nothing else.
-/// 2. **Blast radius**: no benign tenant saw a §5.4 failure-policy event
-///    in any of its op windows (false-positive rate 0), and each benign
-///    tenant's simulated totals — ops, syscalls, instructions, cycles,
-///    latency histogram, architectural counters — are bit-identical to an
-///    isolated-baseline run of the same tenant alone on an identically
-///    seeded fleet.
-/// 3. **Engine invariance**: the whole adversarial plan produces
-///    architecturally identical results with the translation engine on
-///    and off (the on-arm runs both tiers — blocks *and* traces, the
-///    production default), including the per-op hostile ledgers.
-///
-/// The §5.4 measurements the paper motivates — false-positive rate and
-/// time-to-kill (simulated cycles from attack trigger to task kill) — are
-/// reported alongside the gates.
-pub mod fuzz {
-    use super::blocks::arch_identical;
-    use super::fleet::{self, FleetMeasurement};
-    use camo_smp::{FleetReport, TenantReport};
-    use camo_workloads::{HostileOp, HostileTotals, TenantSpec};
-
-    /// The benign side of the adversarial plan. Placed *first* in the
-    /// plan so these tenants' long-lived tasks are spawned (and
-    /// scheduler-placed) before any fuzz tenant exists — the precondition
-    /// for the isolated-baseline identity gate.
-    pub fn benign_tenants(smoke: bool) -> Vec<TenantSpec> {
-        if smoke {
-            vec![
-                TenantSpec::lmbench("web", 800),
-                TenantSpec::tenant_mix("batch", 60),
-            ]
-        } else {
-            vec![
-                TenantSpec::lmbench("web", 4_000),
-                TenantSpec::tenant_mix("batch", 240),
-            ]
-        }
-    }
-
-    /// The fuzz tenants, always appended *after* the benign tenants.
-    pub fn fuzz_tenants(smoke: bool) -> Vec<TenantSpec> {
-        let ops = if smoke { 60 } else { 320 };
-        vec![
-            TenantSpec::fuzz("fuzz-0", ops),
-            TenantSpec::fuzz("fuzz-1", ops),
-        ]
-    }
-
-    /// Builds and runs one adversarial plan (both execution modes). The
-    /// §5.4 panic threshold is lifted: the gate, not the panic, judges
-    /// every attack — a fuzz campaign necessarily exceeds any sane
-    /// production threshold.
-    fn run_plan(
-        shards: usize,
-        cpus_per_shard: usize,
-        seed: u64,
-        tenants: Vec<TenantSpec>,
-        block_engine: bool,
-    ) -> FleetMeasurement {
-        let opts = fleet::FleetOpts {
-            block_engine,
-            pac_panic_threshold: Some(u32::MAX),
-            ..fleet::FleetOpts::default()
-        };
-        fleet::measure_opts(shards, cpus_per_shard, seed, tenants, opts)
-    }
-
-    /// One benign tenant's isolation verdict: does its service in the
-    /// adversarial plan match, bit for bit, its service alone on an
-    /// identically seeded fleet?
-    #[derive(Debug)]
-    pub struct IsolationCheck {
-        /// Tenant name.
-        pub name: String,
-        /// Architectural identity of the mixed-run and isolated-run
-        /// tenant reports.
-        pub identical: bool,
-    }
-
-    /// Arch-level tenant-report identity: every simulated quantity except
-    /// the cache-observability counters (same exclusion rule as
-    /// [`super::blocks::arch_identical`]).
-    fn tenant_arch_identical(a: &TenantReport, b: &TenantReport) -> bool {
+    /// The per-tenant half of [`arch_identical`]: ops, syscalls,
+    /// instructions, cycles, [`CpuStats::arch_eq`], the latency histogram
+    /// and the hostile ledger (records, time-to-kill, counts).
+    pub fn tenant_arch_identical(a: &TenantReport, b: &TenantReport) -> bool {
         a.name == b.name
             && a.totals.ops == b.totals.ops
             && a.totals.syscalls == b.totals.syscalls
@@ -839,204 +505,12 @@ pub mod fuzz {
             && a.totals.hostile == b.totals.hostile
     }
 
-    /// One engine arm: the adversarial plan plus the per-benign-tenant
-    /// isolated baselines.
-    #[derive(Debug)]
-    pub struct FuzzArm {
-        /// The mixed (benign + fuzz) plan, both execution modes.
-        pub mixed: FleetMeasurement,
-        /// Isolation verdict per benign tenant.
-        pub isolation: Vec<IsolationCheck>,
-    }
-
-    impl FuzzArm {
-        /// The merged adversarial ledger of every fuzz tenant.
-        pub fn ledger(&self) -> HostileTotals {
-            let mut total = HostileTotals::default();
-            for t in &self.mixed.parallel.tenants {
-                total.merge(&t.totals.hostile);
-            }
-            total
-        }
-
-        /// Gate 1: every hostile op matched its declaration (and at least
-        /// one was mounted).
-        pub fn all_hostile_matched(&self) -> bool {
-            let ledger = self.ledger();
-            ledger.attempted > 0 && ledger.matched == ledger.attempted
-        }
-
-        /// Gate 2a: zero §5.4 failure-policy events in benign windows,
-        /// across every tenant (fuzz tenants' benign windows included).
-        pub fn zero_false_positives(&self) -> bool {
-            self.ledger().benign_pac_events == 0
-        }
-
-        /// Gate 2b: every benign tenant bit-identical to its isolated
-        /// baseline.
-        pub fn benign_isolated(&self) -> bool {
-            !self.isolation.is_empty() && self.isolation.iter().all(|c| c.identical)
-        }
-
-        /// Per-op attribution table in [`HostileOp::ALL`] order:
-        /// `(name, attempted, matched)`.
-        pub fn per_op(&self) -> Vec<(&'static str, u64, u64)> {
-            let ledger = self.ledger();
-            HostileOp::ALL
-                .iter()
-                .map(|op| {
-                    let recs = ledger.records.iter().filter(|r| r.op == *op);
-                    let attempted = recs.clone().count() as u64;
-                    let matched = recs.filter(|r| r.matched).count() as u64;
-                    (op.name(), attempted, matched)
-                })
-                .collect()
-        }
-    }
-
-    /// Runs one arm: the mixed adversarial plan, then each benign tenant
-    /// alone on an identically seeded fleet, comparing the tenant's
-    /// report architecturally.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a shard fails (the executor propagates only
-    /// infrastructure errors; attack outcomes are recorded, not thrown).
-    pub fn measure_arm(
-        shards: usize,
-        cpus_per_shard: usize,
-        seed: u64,
-        smoke: bool,
-        block_engine: bool,
-    ) -> FuzzArm {
-        let benign = benign_tenants(smoke);
-        let mut tenants = benign.clone();
-        tenants.extend(fuzz_tenants(smoke));
-        let mixed = run_plan(shards, cpus_per_shard, seed, tenants, block_engine);
-        let isolation = benign
-            .into_iter()
-            .map(|spec| {
-                let name = spec.name.clone();
-                let alone = run_plan(shards, cpus_per_shard, seed, vec![spec], block_engine);
-                let in_mixed = mixed
-                    .parallel
-                    .tenants
-                    .iter()
-                    .find(|t| t.name == name)
-                    .expect("benign tenant served in the mixed plan");
-                let in_isolation = alone
-                    .parallel
-                    .tenants
-                    .iter()
-                    .find(|t| t.name == name)
-                    .expect("benign tenant served in isolation");
-                IsolationCheck {
-                    identical: alone.identical && tenant_arch_identical(in_mixed, in_isolation),
-                    name,
-                }
-            })
-            .collect();
-        FuzzArm { mixed, isolation }
-    }
-
-    /// The full BENCH_6 measurement: both block-engine arms.
-    #[derive(Debug)]
-    pub struct FuzzAb {
-        /// Block engine on.
-        pub on: FuzzArm,
-        /// Block engine off.
-        pub off: FuzzArm,
-    }
-
-    impl FuzzAb {
-        /// Gate 3: the two arms agree on every architectural quantity,
-        /// including the per-op hostile ledgers.
-        pub fn arch_identical(&self) -> bool {
-            arms_arch_identical(&self.on.mixed.parallel, &self.off.mixed.parallel)
-        }
-
-        /// All gates at once — the `perfcheck --fuzz` exit criterion.
-        pub fn passes(&self) -> bool {
-            [&self.on, &self.off].iter().all(|arm| {
-                arm.mixed.identical
-                    && arm.all_hostile_matched()
-                    && arm.zero_false_positives()
-                    && arm.benign_isolated()
-            }) && self.arch_identical()
-        }
-    }
-
-    /// Cross-arm identity: [`arch_identical`] plus per-tenant hostile
-    /// ledgers (records, time-to-kill, counts) — the block engine must
-    /// not change a single attack outcome.
-    pub fn arms_arch_identical(a: &FleetReport, b: &FleetReport) -> bool {
-        arch_identical(a, b)
-            && a.tenants
-                .iter()
-                .zip(&b.tenants)
-                .all(|(x, y)| x.totals.hostile == y.totals.hostile)
-    }
-
-    /// Runs both arms (engine off first, mirroring the other A/Bs).
-    ///
-    /// # Panics
-    ///
-    /// Panics if a shard fails.
-    pub fn measure(shards: usize, cpus_per_shard: usize, seed: u64, smoke: bool) -> FuzzAb {
-        let off = measure_arm(shards, cpus_per_shard, seed, smoke, false);
-        let on = measure_arm(shards, cpus_per_shard, seed, smoke, true);
-        FuzzAb { on, off }
-    }
-}
-
-/// The streaming-stats-plane A/B (`perfcheck --telemetry`, `BENCH_8.json`).
-///
-/// Telemetry is the strictest knob in the whole A/B family: unlike the
-/// block and trace engines it has **no** architectural surface at all,
-/// so the identity gate here is full bit-identity — every one of the 22
-/// `CpuStats` counters, including the observability ones the engine A/Bs
-/// legitimately exempt. The off arm must additionally stay silent
-/// (no time series anywhere), and the on arm must account losslessly
-/// (window sums ≡ end-of-run totals per tenant).
-pub mod telemetry {
-    use super::fleet::{measure_opts, FleetOpts};
-    use camo_cpu::CpuStats;
-    use camo_smp::FleetReport;
-    use camo_workloads::TenantSpec;
-
-    // Same A/B shape and speedup/arch helpers as the engine benches —
-    // only the toggled knob and the extra gates differ.
-    pub use super::blocks::FleetAb;
-
-    /// Runs the fleet mix once per telemetry arm.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a shard fails (benign traffic must not fault).
-    pub fn fleet_ab(
-        shards: usize,
-        cpus_per_shard: usize,
-        seed: u64,
-        tenants: Vec<TenantSpec>,
-    ) -> FleetAb {
-        // Off arm first, mirroring the other A/Bs: the on arm must not
-        // benefit from a warmer host.
-        let arm = |telemetry| FleetOpts {
-            telemetry,
-            ..FleetOpts::default()
-        };
-        let off = measure_opts(shards, cpus_per_shard, seed, tenants.clone(), arm(false));
-        let on = measure_opts(shards, cpus_per_shard, seed, tenants, arm(true));
-        FleetAb { on, off }
-    }
-
-    /// Whether the two arms are **bit-identical** in everything the
+    /// Whether two fleet reports are **bit-identical** in everything the
     /// simulation defines: totals, all 22 stat counters (full equality,
     /// not [`CpuStats::arch_eq`]), and per-tenant totals including the
-    /// latency histograms. Telemetry observes the run; it must not
-    /// perturb even an observability counter.
-    pub fn fully_identical(ab: &FleetAb) -> bool {
-        let (a, b) = (&ab.on.parallel, &ab.off.parallel);
+    /// latency histograms. The telemetry A/B gates on it: observing the
+    /// run must not perturb even an observability counter.
+    pub fn fully_identical(a: &FleetReport, b: &FleetReport) -> bool {
         a.syscalls == b.syscalls
             && a.instructions == b.instructions
             && a.cycles == b.cycles
@@ -1048,13 +522,7 @@ pub mod telemetry {
                 .all(|(x, y)| x.name == y.name && x.totals == y.totals)
     }
 
-    /// Whether a report carries no time series at all — the off arm's
-    /// obligation.
-    pub fn silent(report: &FleetReport) -> bool {
-        report.tenants.iter().all(|t| t.series.is_empty())
-    }
-
-    /// One tenant's series verdict for the BENCH_8 report.
+    /// One tenant's telemetry-series verdict.
     #[derive(Debug, Clone)]
     pub struct SeriesCheck {
         /// Tenant name.
@@ -1093,48 +561,241 @@ pub mod telemetry {
             .collect()
     }
 
-    /// Wall-clock cost of running the plane: `1 − on/off` capacity
-    /// ratio from the isolated-shard sequential runs, clamped at zero
-    /// (host noise can make the on arm *faster*). The BENCH_8 gate is
-    /// `< 0.02`.
-    pub fn drain_overhead(ab: &FleetAb) -> f64 {
-        (1.0 - ab.speedup()).max(0.0)
+    /// Whether every tenant recorded a non-empty series that sums exactly
+    /// to its totals.
+    pub fn series_complete(checks: &[SeriesCheck]) -> bool {
+        checks.iter().all(|c| c.windows > 0 && c.sums_exact)
+    }
+}
+
+/// The adversarial traffic plane (`perfcheck --fuzz`, `BENCH_6.json`).
+///
+/// Seeded fuzz tenants mount the [`camo_workloads::HostileOp`] attacks —
+/// forged and replayed signed stack pointers, forged `f_ops`/work-callback
+/// pointers, module-signing violations, direct physical writes to
+/// translated code — *under load*, interleaved with benign tenants on the
+/// same machines. Three property families are gated:
+///
+/// 1. **Attribution**: every hostile op produced exactly its declared
+///    expected outcome (the right [`camo_cpu::pac::KeyClass`] failure on
+///    the right sacrificial task, a module rejection, or coherent tamper
+///    visibility) and nothing else.
+/// 2. **Blast radius**: no benign tenant saw a §5.4 failure-policy event
+///    in any of its op windows (false-positive rate 0), and each benign
+///    tenant's simulated totals — ops, syscalls, instructions, cycles,
+///    latency histogram, architectural counters — are bit-identical to an
+///    isolated-baseline run of the same tenant alone on an identically
+///    seeded fleet.
+/// 3. **Engine invariance**: the whole adversarial plan produces
+///    architecturally identical results with the translation engine on
+///    and off (the on-arm runs both tiers — blocks *and* traces, the
+///    production default), including the per-op hostile ledgers.
+///
+/// The §5.4 measurements the paper motivates — false-positive rate and
+/// time-to-kill (simulated cycles from attack trigger to task kill) — are
+/// reported alongside the gates.
+pub mod fuzz {
+    use super::fleet::{self, FleetMeasurement};
+    use camo_smp::{FleetPlan, TenantReport};
+    use camo_workloads::{HostileOp, HostileTotals, TenantSpec};
+
+    /// The benign side of the adversarial plan. Placed *first* in the
+    /// plan so these tenants' long-lived tasks are spawned (and
+    /// scheduler-placed) before any fuzz tenant exists — the precondition
+    /// for the isolated-baseline identity gate.
+    pub fn benign_tenants(smoke: bool) -> Vec<TenantSpec> {
+        if smoke {
+            vec![
+                TenantSpec::lmbench("web", 800),
+                TenantSpec::tenant_mix("batch", 60),
+            ]
+        } else {
+            vec![
+                TenantSpec::lmbench("web", 4_000),
+                TenantSpec::tenant_mix("batch", 240),
+            ]
+        }
+    }
+
+    /// The fuzz tenants, always appended *after* the benign tenants.
+    pub fn fuzz_tenants(smoke: bool) -> Vec<TenantSpec> {
+        let ops = if smoke { 60 } else { 320 };
+        vec![
+            TenantSpec::fuzz("fuzz-0", ops),
+            TenantSpec::fuzz("fuzz-1", ops),
+        ]
+    }
+
+    /// One engine arm: the adversarial plan plus the per-benign-tenant
+    /// isolated baselines.
+    #[derive(Debug)]
+    pub struct FuzzArm {
+        /// The mixed (benign + fuzz) plan, both execution modes.
+        pub mixed: FleetMeasurement,
+        /// Per benign tenant: its name, and whether its service in the
+        /// mixed plan is [`fleet::tenant_arch_identical`] to its service
+        /// alone on an identically seeded fleet.
+        pub isolation: Vec<(String, bool)>,
+    }
+
+    impl FuzzArm {
+        /// The merged adversarial ledger of every fuzz tenant.
+        pub fn ledger(&self) -> HostileTotals {
+            let mut total = HostileTotals::default();
+            for t in &self.mixed.parallel.tenants {
+                total.merge(&t.totals.hostile);
+            }
+            total
+        }
+
+        /// The arm's four hard gates, by name:
+        /// - `all_hostile_matched`: every hostile op matched its
+        ///   declaration, and at least one was mounted;
+        /// - `zero_false_positives`: zero §5.4 failure-policy events in
+        ///   benign windows, across every tenant (fuzz tenants' benign
+        ///   windows included);
+        /// - `benign_isolated`: every benign tenant bit-identical to its
+        ///   isolated baseline;
+        /// - `parallel_sequential_identical`: the mixed plan's two
+        ///   execution modes agree.
+        pub fn gates(&self) -> [(&'static str, bool); 4] {
+            let ledger = self.ledger();
+            [
+                (
+                    "all_hostile_matched",
+                    ledger.attempted > 0 && ledger.matched == ledger.attempted,
+                ),
+                ("zero_false_positives", ledger.benign_pac_events == 0),
+                (
+                    "benign_isolated",
+                    !self.isolation.is_empty() && self.isolation.iter().all(|(_, ok)| *ok),
+                ),
+                ("parallel_sequential_identical", self.mixed.identical),
+            ]
+        }
+
+        /// Per-op attribution table in [`HostileOp::ALL`] order:
+        /// `(name, attempted, matched)`.
+        pub fn per_op(&self) -> Vec<(&'static str, u64, u64)> {
+            let ledger = self.ledger();
+            HostileOp::ALL
+                .iter()
+                .map(|op| {
+                    let recs = ledger.records.iter().filter(|r| r.op == *op);
+                    let attempted = recs.clone().count() as u64;
+                    let matched = recs.filter(|r| r.matched).count() as u64;
+                    (op.name(), attempted, matched)
+                })
+                .collect()
+        }
+    }
+
+    /// Runs one arm: the mixed adversarial plan, then each benign tenant
+    /// alone on an identically seeded fleet, comparing the tenant's
+    /// report architecturally.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a shard fails.
+    pub fn measure_arm(
+        shards: usize,
+        cpus_per_shard: usize,
+        seed: u64,
+        smoke: bool,
+        block_engine: bool,
+    ) -> FuzzArm {
+        // The §5.4 panic threshold is lifted: the gate, not the panic,
+        // judges every attack — a fuzz campaign necessarily exceeds any
+        // sane production threshold.
+        let run_plan = |tenants| {
+            let mut plan = FleetPlan::new(shards, seed, tenants);
+            plan.cpus_per_shard = cpus_per_shard;
+            plan.block_engine = block_engine;
+            plan.pac_panic_threshold = Some(u32::MAX);
+            fleet::measure(&plan)
+        };
+        let benign = benign_tenants(smoke);
+        let mixed = run_plan([benign.clone(), fuzz_tenants(smoke)].concat());
+        let isolation = benign
+            .into_iter()
+            .map(|spec| {
+                let name = spec.name.clone();
+                let alone = run_plan(vec![spec]);
+                let identical = alone.identical
+                    && fleet::tenant_arch_identical(served(&mixed, &name), served(&alone, &name));
+                (name, identical)
+            })
+            .collect();
+        FuzzArm { mixed, isolation }
+    }
+
+    fn served<'a>(m: &'a FleetMeasurement, name: &str) -> &'a TenantReport {
+        m.parallel
+            .tenants
+            .iter()
+            .find(|t| t.name == name)
+            .expect("benign tenant served")
+    }
+
+    /// The full BENCH_6 measurement: both block-engine arms.
+    #[derive(Debug)]
+    pub struct FuzzAb {
+        /// Block engine on.
+        pub on: FuzzArm,
+        /// Block engine off.
+        pub off: FuzzArm,
+    }
+
+    impl FuzzAb {
+        /// The two arms agree on every architectural quantity, hostile
+        /// ledgers included ([`fleet::arch_identical`]): the block engine
+        /// must not change a single attack outcome.
+        pub fn arch_identical(&self) -> bool {
+            fleet::arch_identical(&self.on.mixed.parallel, &self.off.mixed.parallel)
+        }
+
+        /// Every gate of both arms plus [`FuzzAb::arch_identical`].
+        pub fn passes(&self) -> bool {
+            [&self.on, &self.off]
+                .iter()
+                .all(|arm| arm.gates().iter().all(|(_, ok)| *ok))
+                && self.arch_identical()
+        }
+    }
+
+    /// Runs both arms (engine off first, mirroring the other A/Bs).
+    ///
+    /// # Panics
+    ///
+    /// Panics if a shard fails.
+    pub fn measure(shards: usize, cpus_per_shard: usize, seed: u64, smoke: bool) -> FuzzAb {
+        let off = measure_arm(shards, cpus_per_shard, seed, smoke, false);
+        let on = measure_arm(shards, cpus_per_shard, seed, smoke, true);
+        FuzzAb { on, off }
     }
 }
 
 /// The work-stealing fleet scheduler benchmark (`perfcheck --fleet-steal`,
 /// `BENCH_9.json`).
 ///
-/// The BENCH_4 tenant mix scaled out to a dense population — 64 tenants
-/// on 8 single-core shards (16 on 4 with `--smoke`) with mixed weights
-/// and cycle budgets — served by the work-stealing host pool at several
-/// worker counts. Four property families:
-///
-/// 1. **Bit-identity under stealing** (hard): every pooled run, at every
-///    worker count, and the legacy 1:1 threaded run are
-///    `simulation_identical` to the sequential oracle.
-/// 2. **Worker invariance** (hard): the pooled runs agree with each
-///    other pairwise — perturbing the host schedule (1, 2, N, 2N
-///    workers) moves nothing simulated.
-/// 3. **Telemetry under migration** (hard): with the stats plane on,
-///    every tenant's window sums reproduce its end-of-run totals even
-///    though shard tasks migrated between workers mid-run.
-/// 4. **Latency and wall scaling**: the fleet-wide p99 simulated-cycle
-///    op latency is deterministic in the plan and gated against a fixed
-///    target; the wall speedup of the pool over the 1:1 thread-per-shard
-///    driver is gated (≥1.5×) only on hosts with ≥4 cores — below that
-///    the pool and the time-sliced threads converge by construction —
-///    and recorded everywhere.
+/// The BENCH_4 tenant mix scaled out to 64 weighted, partly cycle-budgeted
+/// tenants on 8 single-core shards (16 on 4 with `--smoke`), served by the
+/// work-stealing pool at worker counts 1, 2, N and 2N and by the legacy
+/// 1:1 thread-per-shard driver. Every run must be `simulation_identical`
+/// to the sequential oracle, and the pooled runs to each other; the
+/// telemetry series must sum to the totals although shard tasks migrate
+/// between workers; and the plan-deterministic p99 op latency has a fixed
+/// ceiling. The pool's wall speedup over 1:1 gates only on hosts with 4+
+/// cores, below which the two converge by construction.
 pub mod steal {
+    use super::perf::best_of;
     use camo_smp::{FleetDriver, FleetPlan, FleetReport};
     use camo_workloads::TenantSpec;
 
-    /// Shard counts (full / `--smoke`). Dense-tenant plans pin
+    /// Shard counts, full and `--smoke`. Dense-tenant plans pin
     /// `cpus_per_shard` to 1: every tenant lives on every shard, and the
     /// kernel's task-stack region bounds the per-machine task population.
-    pub const SHARDS: usize = 8;
-    /// `--smoke` shard count.
-    pub const SMOKE_SHARDS: usize = 4;
+    pub const SHARDS: [usize; 2] = [8, 4];
 
     /// The dense tenant mix: 64 tenants (16 with `smoke`), mostly
     /// single-task lmbench traffic with a capped sprinkling of
@@ -1164,16 +825,6 @@ pub mod steal {
         tenants
     }
 
-    /// The worker counts the invariance gate perturbs: 1, 2, N, 2N
-    /// (N = the pool's default on this host), deduplicated and sorted.
-    pub fn worker_counts(plan: &FleetPlan) -> Vec<usize> {
-        let n = FleetDriver::default_workers(plan);
-        let mut counts = vec![1, 2, n, 2 * n];
-        counts.sort_unstable();
-        counts.dedup();
-        counts
-    }
-
     /// One full BENCH_9 measurement.
     #[derive(Debug)]
     pub struct StealMeasurement {
@@ -1181,7 +832,8 @@ pub mod steal {
         pub plan: FleetPlan,
         /// The sequential oracle.
         pub sequential: FleetReport,
-        /// The worker counts exercised, aligned with `pooled`.
+        /// The worker counts exercised — 1, 2, N and 2N, deduplicated and
+        /// sorted — aligned with `pooled`.
         pub counts: Vec<usize>,
         /// One pooled run per worker count (wall best-of-`repeats`).
         pub pooled: Vec<FleetReport>,
@@ -1191,15 +843,7 @@ pub mod steal {
     }
 
     impl StealMeasurement {
-        /// Gate 1: every execution mode bit-identical to the oracle.
-        pub fn bit_identical(&self) -> bool {
-            self.pooled
-                .iter()
-                .chain(std::iter::once(&self.threaded))
-                .all(|r| r.simulation_identical(&self.sequential))
-        }
-
-        /// Gate 2: the pooled runs pairwise identical across worker
+        /// Whether the pooled runs are pairwise identical across worker
         /// counts.
         pub fn worker_invariant(&self) -> bool {
             self.pooled
@@ -1207,15 +851,14 @@ pub mod steal {
                 .all(|w| w[0].simulation_identical(&w[1]))
         }
 
-        /// The pooled run at the host's default worker count (the last
-        /// de-duplicated entry ≤ N; in practice the N-worker run).
+        /// The pooled run at the host's default worker count N.
         pub fn pooled_default(&self) -> &FleetReport {
             let n = FleetDriver::default_workers(&self.plan);
-            self.counts
+            &self.pooled[self
+                .counts
                 .iter()
                 .position(|&w| w == n)
-                .map(|i| &self.pooled[i])
-                .unwrap_or(&self.pooled[0])
+                .expect("N is measured")]
         }
 
         /// Wall speedup of the default pooled run over the 1:1
@@ -1239,51 +882,41 @@ pub mod steal {
 
     /// Runs the full measurement: the sequential oracle once, one pooled
     /// run per worker count, and the 1:1 baseline; the default-count
-    /// pooled run and the baseline are wall best-of-`repeats` (simulated
-    /// cycles asserted deterministic across repeats).
+    /// pooled run and the baseline are wall best-of-`repeats`
+    /// ([`super::perf::best_of`], every repeat checked
+    /// `simulation_identical` to the first).
     ///
     /// # Panics
     ///
     /// Panics if a shard fails (benign traffic must not fault) or a
-    /// repeat disagrees on simulated cycles (a determinism bug).
+    /// repeat disagrees on the simulation (a determinism bug).
     pub fn measure(shards: usize, seed: u64, smoke: bool, repeats: usize) -> StealMeasurement {
         let mut plan = FleetPlan::new(shards, seed, dense_tenants(smoke));
         plan.cpus_per_shard = 1;
         // Telemetry on: gate 3 needs the series recorded under stealing.
         plan.telemetry = true;
         let sequential = FleetDriver::drive_sequential(&plan).expect("sequential oracle runs");
-        let counts = worker_counts(&plan);
+        // The worker counts the invariance gate perturbs: 1, 2, N, 2N
+        // (N = the pool's default on this host).
         let n = FleetDriver::default_workers(&plan);
-        let mut pooled = Vec::with_capacity(counts.len());
-        for &w in &counts {
-            let mut best = FleetDriver::drive_with_workers(&plan, w).expect("pooled fleet runs");
-            // Only the default count's wall time feeds the speedup gate;
-            // re-measuring every count would multiply runtime for numbers
-            // nothing consumes.
-            let wall_repeats = if w == n { repeats } else { 1 };
-            for _ in 1..wall_repeats {
-                let next = FleetDriver::drive_with_workers(&plan, w).expect("pooled fleet runs");
-                assert_eq!(
-                    next.cycles, best.cycles,
-                    "simulation must be deterministic across repeats"
-                );
-                if next.wall_secs < best.wall_secs {
-                    best = next;
-                }
-            }
-            pooled.push(best);
-        }
-        let mut threaded = FleetDriver::drive_threaded(&plan).expect("1:1 baseline runs");
-        for _ in 1..repeats {
-            let next = FleetDriver::drive_threaded(&plan).expect("1:1 baseline runs");
-            assert_eq!(
-                next.cycles, threaded.cycles,
-                "simulation must be deterministic across repeats"
-            );
-            if next.wall_secs < threaded.wall_secs {
-                threaded = next;
-            }
-        }
+        let mut counts = vec![1, 2, n, 2 * n];
+        counts.sort_unstable();
+        counts.dedup();
+        let pooled = counts
+            .iter()
+            .map(|&w| {
+                // Only the default count's wall time feeds the speedup
+                // gate; re-measuring every count would multiply runtime
+                // for numbers nothing consumes.
+                let wall_repeats = if w == n { repeats } else { 1 };
+                best_of(wall_repeats, || {
+                    FleetDriver::drive_with_workers(&plan, w).expect("pooled fleet runs")
+                })
+            })
+            .collect();
+        let threaded = best_of(repeats, || {
+            FleetDriver::drive_threaded(&plan).expect("1:1 baseline runs")
+        });
         StealMeasurement {
             plan,
             sequential,
@@ -1638,69 +1271,377 @@ pub mod history {
     }
 }
 
-/// Shared perfcheck plumbing. Every bench family's binary path follows
-/// the same shape — resolve the plan size, run the A/B arms best-of-N,
-/// gate determinism, emit a JSON report — and the pieces that used to
-/// be copy-pasted per family live here instead.
-pub mod runner {
-    use super::blocks::FleetAb;
-    use super::fleet::FleetMeasurement;
+/// The one report writer behind every `perfcheck` family.
+///
+/// A [`report::Report`] holds a JSON body, named hard gates, named wall-clock
+/// targets and history headlines. [`report::Report::finish`] writes the
+/// `BENCH_*.json` file, prints it to stdout, prints the speedup table and
+/// one `FAIL`/`note` line per miss to stderr, and returns the exit code.
+/// Every file therefore shares one schema — the body, then `gates`,
+/// `targets` and `pass` — documented in `BENCHMARKS.md`.
+pub mod report {
+    use std::fmt::Write as _;
 
-    /// Best-of-`repeats` for a fleet A/B: keeps, per arm, the repeat
-    /// with the highest isolated-shard capacity, and asserts along the
-    /// way that the simulation itself is deterministic across repeats
-    /// (wall clock may vary; simulated cycles may not).
-    ///
-    /// # Panics
-    ///
-    /// Panics if two repeats disagree on simulated cycles — that is a
-    /// determinism bug, not host noise.
-    pub fn best_of_fleet_ab(repeats: usize, run: impl Fn() -> FleetAb) -> FleetAb {
-        (1..repeats).fold(run(), |acc, _| {
-            let next = run();
-            assert_eq!(
-                (next.on.parallel.cycles, next.off.parallel.cycles),
-                (acc.on.parallel.cycles, acc.off.parallel.cycles),
-                "simulation must be deterministic across repeats"
-            );
-            FleetAb {
-                on: faster(next.on, acc.on),
-                off: faster(next.off, acc.off),
-            }
-        })
+    /// A JSON value, rendered by hand (the tree has no serde).
+    #[derive(Debug, Clone, PartialEq)]
+    pub enum Json {
+        /// `true` or `false`.
+        Bool(bool),
+        /// A non-negative integer.
+        Int(u64),
+        /// A float, rendered with at most six decimals; a non-finite
+        /// value renders as `null`.
+        Num(f64),
+        /// A string, escaped on render.
+        Str(String),
+        /// An array.
+        Arr(Vec<Json>),
+        /// An object, keys in insertion order.
+        Obj(Vec<(String, Json)>),
     }
 
-    fn faster(a: FleetMeasurement, b: FleetMeasurement) -> FleetMeasurement {
-        if a.sequential.capacity_steps_per_sec() > b.sequential.capacity_steps_per_sec() {
-            a
-        } else {
-            b
+    impl Json {
+        /// An object from `(key, value)` pairs.
+        pub fn obj<'a>(fields: impl IntoIterator<Item = (&'a str, Json)>) -> Json {
+            Json::Obj(
+                fields
+                    .into_iter()
+                    .map(|(k, v)| (k.to_string(), v))
+                    .collect(),
+            )
+        }
+
+        /// The rendered text. Containers at the top two levels put one
+        /// entry per line; deeper ones stay on one line.
+        pub fn render(&self) -> String {
+            let mut out = String::new();
+            self.write(&mut out, 0);
+            out
+        }
+
+        fn write(&self, out: &mut String, depth: usize) {
+            match self {
+                Json::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
+                Json::Int(n) => out.push_str(&n.to_string()),
+                Json::Num(x) if !x.is_finite() => out.push_str("null"),
+                Json::Num(x) => {
+                    let fixed = format!("{x:.6}");
+                    let trimmed = fixed.trim_end_matches('0');
+                    out.push_str(trimmed);
+                    if trimmed.ends_with('.') {
+                        out.push('0');
+                    }
+                }
+                Json::Str(s) => escape(out, s),
+                Json::Arr(items) => {
+                    let entries = items.iter().map(|v| (None, v));
+                    write_container(out, depth, ['[', ']'], entries);
+                }
+                Json::Obj(fields) => {
+                    let entries = fields.iter().map(|(k, v)| (Some(k.as_str()), v));
+                    write_container(out, depth, ['{', '}'], entries);
+                }
+            }
         }
     }
 
-    /// Host-execution context rows (`<prefix>_host_workers`,
-    /// `<prefix>_steals`) for the durable history. Neither key ends in a
-    /// comparable suffix, so they ride along un-judged — the recorded
-    /// answer to "how many host workers did this row's wall numbers
-    /// actually have?", which the BENCH_3/4 wall-speedup disclaimers
-    /// used to leave unrecorded.
-    pub fn exec_headlines(prefix: &str, workers: usize, steals: u64) -> Vec<(String, f64)> {
-        vec![
-            (format!("{prefix}_host_workers"), workers as f64),
-            (format!("{prefix}_steals"), steals as f64),
-        ]
+    fn write_container<'a>(
+        out: &mut String,
+        depth: usize,
+        [open, close]: [char; 2],
+        entries: impl ExactSizeIterator<Item = (Option<&'a str>, &'a Json)>,
+    ) {
+        let multiline = depth < 2 && entries.len() > 0;
+        out.push(open);
+        for (i, (key, value)) in entries.enumerate() {
+            if i > 0 {
+                out.push(',');
+            }
+            if multiline {
+                out.push('\n');
+                out.push_str(&"  ".repeat(depth + 1));
+            } else if i > 0 {
+                out.push(' ');
+            }
+            if let Some(key) = key {
+                escape(out, key);
+                out.push_str(": ");
+            }
+            value.write(out, depth + 1);
+        }
+        if multiline {
+            out.push('\n');
+            out.push_str(&"  ".repeat(depth));
+        }
+        out.push(close);
     }
 
-    /// Writes a bench report and tells the operator where it went —
-    /// the uniform tail of every perfcheck mode.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the report cannot be written (CI treats that as a
-    /// harness failure, not a perf regression).
-    pub fn write_json(path: &str, json: &str) {
-        std::fs::write(path, json).unwrap_or_else(|e| panic!("failed to write {path}: {e}"));
-        println!("wrote {path}");
+    fn escape(out: &mut String, s: &str) {
+        out.push('"');
+        for c in s.chars() {
+            match c {
+                '"' => out.push_str("\\\""),
+                '\\' => out.push_str("\\\\"),
+                '\n' => out.push_str("\\n"),
+                '\r' => out.push_str("\\r"),
+                '\t' => out.push_str("\\t"),
+                c if u32::from(c) < 0x20 => {
+                    let _ = write!(out, "\\u{:04x}", u32::from(c));
+                }
+                c => out.push(c),
+            }
+        }
+        out.push('"');
+    }
+
+    macro_rules! json_from {
+        ($($ty:ty => |$v:ident| $make:expr),* $(,)?) => {
+            $(impl From<$ty> for Json {
+                fn from($v: $ty) -> Json {
+                    $make
+                }
+            })*
+        };
+    }
+
+    json_from! {
+        bool => |b| Json::Bool(b),
+        u64 => |n| Json::Int(n),
+        usize => |n| Json::Int(n as u64),
+        f64 => |x| Json::Num(x),
+        &str => |s| Json::Str(s.to_string()),
+        String => |s| Json::Str(s),
+        Vec<Json> => |items| Json::Arr(items),
+    }
+
+    /// A wall-clock target (see [`Report::target`]).
+    #[derive(Debug, Clone, PartialEq)]
+    struct Target {
+        name: String,
+        value: f64,
+        min: f64,
+        gated: bool,
+    }
+
+    impl Target {
+        fn met(&self) -> bool {
+            self.value >= self.min
+        }
+    }
+
+    /// One bench family's report; see the module docs.
+    #[derive(Debug, Clone)]
+    pub struct Report {
+        bench: String,
+        file: String,
+        labels: [String; 2],
+        body: Vec<(String, Json)>,
+        gates: Vec<(String, bool)>,
+        targets: Vec<Target>,
+        rows: Vec<(String, f64, f64)>,
+        /// History headlines, in emission order. `perfcheck --all` folds
+        /// them into its `BENCH_HISTORY.jsonl` row.
+        pub headlines: Vec<(String, f64)>,
+    }
+
+    impl Report {
+        /// An empty report for the family `bench`, written to `file`.
+        /// `bench` is the body's first field and names the family on
+        /// `FAIL` and `note` lines; `labels` name the speedup table's fast
+        /// and base columns.
+        pub fn new(bench: &str, file: &str, labels: [&str; 2]) -> Report {
+            Report {
+                bench: bench.to_string(),
+                file: file.to_string(),
+                labels: labels.map(str::to_string),
+                body: vec![("bench".to_string(), bench.into())],
+                gates: Vec::new(),
+                targets: Vec::new(),
+                rows: Vec::new(),
+                headlines: Vec::new(),
+            }
+        }
+
+        /// Appends a body field.
+        pub fn field(&mut self, key: &str, value: impl Into<Json>) {
+            self.body.push((key.to_string(), value.into()));
+        }
+
+        /// Records a hard gate: `false` fails the run.
+        pub fn gate(&mut self, name: &str, ok: bool) {
+            self.gates.push((name.to_string(), ok));
+        }
+
+        /// Records a wall-clock target: `value` should reach at least
+        /// `min`. A miss fails the run only when `gated`; an ungated miss
+        /// prints a `note:` line.
+        pub fn target(&mut self, name: &str, value: f64, min: f64, gated: bool) {
+            self.targets.push(Target {
+                name: name.to_string(),
+                value,
+                min,
+                gated,
+            });
+        }
+
+        /// Adds a speedup-table row: `fast` and `base` in steps/sec.
+        pub fn row(&mut self, workload: &str, fast: f64, base: f64) {
+            self.rows.push((workload.to_string(), fast, base));
+        }
+
+        /// Records a history headline.
+        pub fn headline(&mut self, key: &str, value: f64) {
+            self.headlines.push((key.to_string(), value));
+        }
+
+        /// Every gate true and every gated target met.
+        pub fn pass(&self) -> bool {
+            self.gates.iter().all(|(_, ok)| *ok) && self.targets.iter().all(|t| !t.gated || t.met())
+        }
+
+        /// The file's content: the body, then `gates`, `targets` and
+        /// `pass`.
+        pub fn json(&self) -> Json {
+            let gates = self
+                .gates
+                .iter()
+                .map(|(name, ok)| (name.clone(), Json::Bool(*ok)))
+                .collect();
+            let targets = self
+                .targets
+                .iter()
+                .map(|t| {
+                    let entry = Json::obj([
+                        ("value", t.value.into()),
+                        ("min", t.min.into()),
+                        ("gated", t.gated.into()),
+                        ("met", t.met().into()),
+                    ]);
+                    (t.name.clone(), entry)
+                })
+                .collect();
+            let mut fields = self.body.clone();
+            fields.push(("gates".to_string(), Json::Obj(gates)));
+            fields.push(("targets".to_string(), Json::Obj(targets)));
+            fields.push(("pass".to_string(), self.pass().into()));
+            Json::Obj(fields)
+        }
+
+        /// The exit code (1 unless [`Report::pass`]) and one line per
+        /// miss: `FAIL(<bench>): gate <name> is false`, a `FAIL` line per
+        /// missed gated target, and a `note` line per missed ungated one.
+        pub fn verdict(&self) -> (i32, Vec<String>) {
+            let bench = &self.bench;
+            let mut lines: Vec<String> = self
+                .gates
+                .iter()
+                .filter(|(_, ok)| !ok)
+                .map(|(name, _)| format!("FAIL({bench}): gate {name} is false"))
+                .collect();
+            for t in self.targets.iter().filter(|t| !t.met()) {
+                let (tag, why) = if t.gated {
+                    ("FAIL", "gated")
+                } else {
+                    ("note", "ungated; host-dependent")
+                };
+                lines.push(format!(
+                    "{tag}({bench}): target {} is {:.2}, below {:.2} ({why})",
+                    t.name, t.value, t.min
+                ));
+            }
+            (i32::from(!self.pass()), lines)
+        }
+
+        /// Writes the file, prints it to stdout, prints the speedup table
+        /// and the [`Report::verdict`] lines to stderr, and returns the
+        /// exit code.
+        ///
+        /// # Panics
+        ///
+        /// Panics if the file cannot be written (a harness failure, not
+        /// a perf regression).
+        pub fn finish(&self) -> i32 {
+            let text = self.json().render() + "\n";
+            std::fs::write(&self.file, &text)
+                .unwrap_or_else(|e| panic!("failed to write {}: {e}", self.file));
+            print!("{text}");
+            eprintln!("wrote {}", self.file);
+            let [fast, base] = &self.labels;
+            eprintln!("speedup table [{}]:", self.bench);
+            eprintln!(
+                "  {:<24} {fast:>15} {base:>15} {:>9}",
+                "workload", "speedup"
+            );
+            for (name, fast, base) in &self.rows {
+                let speedup = fast / base.max(1e-9);
+                eprintln!("  {name:<24} {fast:>15.0} {base:>15.0} {speedup:>8.2}x");
+            }
+            let (code, lines) = self.verdict();
+            for line in lines {
+                eprintln!("{line}");
+            }
+            code
+        }
+    }
+
+    #[cfg(test)]
+    mod tests {
+        use super::*;
+
+        fn report() -> Report {
+            let mut r = Report::new("block_engine", "BENCH_5.json", ["on st/s", "off st/s"]);
+            r.field("seed", 7u64);
+            r.gate("cycles_identical", true);
+            r
+        }
+
+        #[test]
+        fn false_gate_fails_and_names_family_and_gate() {
+            let mut r = report();
+            r.gate("arch_identical", false);
+            let (code, lines) = r.verdict();
+            assert_eq!(code, 1);
+            assert_eq!(lines, ["FAIL(block_engine): gate arch_identical is false"]);
+            assert!(r.json().render().contains("\"pass\": false"));
+        }
+
+        #[test]
+        fn missed_ungated_target_is_a_note() {
+            let mut r = report();
+            r.target("hot_loop_speedup", 1.5, 2.0, false);
+            let (code, lines) = r.verdict();
+            assert_eq!(code, 0);
+            assert_eq!(lines.len(), 1);
+            assert!(lines[0].starts_with("note(block_engine): target hot_loop_speedup"));
+            assert!(r.json().render().contains("\"pass\": true"));
+        }
+
+        #[test]
+        fn missed_gated_target_fails() {
+            let mut r = report();
+            r.target("wall_speedup_over_threaded", 1.2, 1.5, true);
+            r.target("fleet_speedup", 3.0, 2.0, true);
+            let (code, lines) = r.verdict();
+            assert_eq!(code, 1);
+            assert_eq!(lines.len(), 1);
+            assert!(lines[0].starts_with("FAIL(block_engine): target wall_speedup_over_threaded"));
+            assert!(!r.pass());
+        }
+
+        #[test]
+        fn strings_render_escaped_and_floats_stay_valid() {
+            let mut r = report();
+            r.field("note", "a \"quoted\" path\\with\nnewline\u{1}");
+            r.field("ratio", 2.5);
+            r.field("whole", 5.0);
+            r.field("nan", f64::NAN);
+            let text = r.json().render();
+            assert!(text.contains(r#""note": "a \"quoted\" path\\with\nnewline\u0001""#));
+            assert!(text.contains("\"ratio\": 2.5,"));
+            assert!(text.contains("\"whole\": 5.0,"));
+            assert!(text.contains("\"nan\": null,"));
+            assert!(text.starts_with("{\n  \"bench\": \"block_engine\",\n  \"seed\": 7,"));
+        }
     }
 }
 
@@ -1733,8 +1674,7 @@ mod tests {
     #[test]
     fn fleet_measurement_is_simulation_identical() {
         use camo_workloads::TenantSpec;
-        let m = fleet::measure(
-            2,
+        let mut plan = camo_smp::FleetPlan::new(
             2,
             0xBE4C4,
             vec![
@@ -1742,6 +1682,8 @@ mod tests {
                 TenantSpec::tenant_mix("batch", 8),
             ],
         );
+        plan.cpus_per_shard = 2;
+        let m = fleet::measure(&plan);
         assert!(m.identical, "fleet execution mode leaked into simulation");
         assert_eq!(m.parallel.syscalls, m.sequential.syscalls);
         assert!(m
