@@ -9,13 +9,13 @@
 //! | Flag | File | Workloads × arms | Hard gates | Targets | History headlines |
 //! |---|---|---|---|---|---|
 //! | (none) | `BENCH_2.json` | Figure-2 hot loop and lmbench syscall mix × caches off/on (blocks and traces off) | `cycles_identical` | hot loop ≥ 5× (ungated) | `bench2_hot_loop_speedup`, `bench2_hot_loop_cached_steps_per_sec` |
-//! | `--smp` | `BENCH_3.json` | one lmbench tenant at each `--shards` count, parallel vs sequential | `simulation_identical` | capacity ≥ 3× at the top point; wall speedup ≥ half the capacity speedup (both ungated) | `bench3_capacity_speedup`, `bench3_top_capacity_steps_per_sec`, `bench3_host_workers`, `bench3_steals` |
-//! | `--fleet` | `BENCH_4.json` | the standard tenant mix, parallel vs sequential | `simulation_identical` | — | `bench4_capacity_steps_per_sec`, `bench4_host_workers`, `bench4_steals` |
+//! | `--smp` | `BENCH_3.json` | one lmbench tenant at each `--shards` count, parallel vs sequential | `simulation_identical` | capacity ≥ 3× at the top point; wall speedup ≥ half the capacity speedup (both ungated) | `bench3_capacity_speedup`, `bench3_top_capacity_steps_per_sec`, `bench3_host_workers` |
+//! | `--fleet` | `BENCH_4.json` | the standard tenant mix, parallel vs sequential | `simulation_identical` | — | `bench4_capacity_steps_per_sec`, `bench4_host_workers` |
 //! | `--blocks` | `BENCH_5.json` | hot loop and fleet mix × block engine off/on (caches on, traces off) | `cycles_identical`, `arch_identical`, `parallel_sequential_identical`, `simulation_identical` | both ≥ 2× (ungated) | `bench5_hot_loop_speedup`, `bench5_fleet_speedup` |
 //! | `--traces` | `BENCH_7.json` | hot loop and fleet mix × trace tier off/on (caches and blocks on) | as `--blocks` | both ≥ 2× (ungated) | `bench7_hot_loop_speedup`, `bench7_fleet_speedup` |
 //! | `--fuzz` | `BENCH_6.json` | benign + fuzz tenants × block engine off/on; each benign tenant again alone | per arm `<arm>.all_hostile_matched`, `<arm>.zero_false_positives`, `<arm>.benign_isolated`, `<arm>.parallel_sequential_identical`; `arms_arch_identical` | — | — |
 //! | `--telemetry` | `BENCH_8.json` | fleet mix × telemetry off/on | the `--blocks` fleet gates, plus `fully_identical`, `off_arm_silent`, `series_complete`, `overhead_within_budget` (< 0.02) and `attack_matrix_matches_paper` (24 rows) | — | `bench8_drain_overhead` |
-//! | `--fleet-steal` | `BENCH_9.json` | dense tenant mix: sequential oracle, pool at 1/2/N/2N workers, legacy 1:1 threads | `bit_identical`, `worker_invariant`, `telemetry_series_complete`, `p99_within_target` (≤ 25 000 cycles) | pool ≥ 1.5× over 1:1 (gated on hosts with 4+ cores) | `bench9_steal_wall_speedup`, `bench9_pool_steps_per_sec`, `bench9_host_workers`, `bench9_steals` |
+//! | `--fleet-steal` | `BENCH_9.json` | dense tenant mix: sequential oracle, pool at 1/2/N/2N workers and at one worker per shard (1:1) | `bit_identical`, `worker_invariant`, `telemetry_series_complete`, `p99_within_target` (≤ 25 000 cycles) | pool ≥ 1.5× over 1:1 (gated on hosts with 4+ cores) | `bench9_steal_wall_speedup`, `bench9_pool_steps_per_sec`, `bench9_host_workers` |
 //!
 //! Two meta modes:
 //!
@@ -82,8 +82,8 @@ const FLEET_SHARDS: [usize; 2] = [4, 2];
 const TELEMETRY_OVERHEAD_BUDGET: f64 = 0.02;
 /// Rows the §6 attack matrix is expected to carry.
 const ATTACK_MATRIX_ROWS: usize = 24;
-/// The wall speedup the work-stealing pool should deliver over the 1:1
-/// thread-per-shard driver, gated only on hosts with
+/// The wall speedup the default pool should deliver over the pool at one
+/// worker per shard, gated only on hosts with
 /// [`STEAL_GATE_CORES`] cores (below that the two converge by
 /// construction).
 const STEAL_WALL_TARGET: f64 = 1.5;
@@ -397,14 +397,6 @@ fn measurement_fields(m: &FleetMeasurement) -> Vec<(&'static str, Json)> {
     ]
 }
 
-/// Host-execution context headlines (`<prefix>_host_workers`,
-/// `<prefix>_steals`). Neither key ends in a comparable suffix, so they
-/// ride along in the history row un-judged.
-fn exec_headlines(report: &mut Report, prefix: &str, m: &FleetReport) {
-    report.headline(&format!("{prefix}_host_workers"), m.exec.workers as f64);
-    report.headline(&format!("{prefix}_steals"), m.exec.steals as f64);
-}
-
 /// One arm of one A/B workload, as the report needs it.
 struct Arm {
     json: Json,
@@ -613,7 +605,6 @@ fn run_smp(args: &Args) -> Report {
             );
             let exec = [
                 ("host_workers", m.parallel.exec.workers.into()),
-                ("steals", m.parallel.exec.steals.into()),
                 ("simulation_identical", m.identical.into()),
             ];
             let fields = [("shards", (*n).into())].into_iter();
@@ -643,7 +634,9 @@ fn run_smp(args: &Args) -> Report {
     );
     report.headline("bench3_capacity_speedup", capacity_speedup);
     report.headline("bench3_top_capacity_steps_per_sec", capacity(top));
-    exec_headlines(&mut report, "bench3", &top.parallel);
+    // Execution context: no comparable suffix, so it rides along in the
+    // history row un-judged (likewise bench4 and bench9).
+    report.headline("bench3_host_workers", top.parallel.exec.workers as f64);
     report
 }
 
@@ -687,11 +680,7 @@ fn run_fleet(args: &Args) -> Report {
     report.field("totals", Json::obj(measurement_fields(&m)));
     report.field(
         "exec",
-        Json::obj([
-            ("host_workers", par.exec.workers.into()),
-            ("steals", par.exec.steals.into()),
-            ("migrations", par.exec.migrations.into()),
-        ]),
+        Json::obj([("host_workers", par.exec.workers.into())]),
     );
     report.gate("simulation_identical", m.identical);
     report.row(
@@ -703,7 +692,7 @@ fn run_fleet(args: &Args) -> Report {
         "bench4_capacity_steps_per_sec",
         seq.capacity_steps_per_sec(),
     );
-    exec_headlines(&mut report, "bench4", par);
+    report.headline("bench4_host_workers", par.exec.workers as f64);
     report
 }
 
@@ -785,8 +774,8 @@ fn run_fuzz(args: &Args) -> Report {
     report
 }
 
-/// BENCH_9: the dense tenant mix under the work-stealing pool at several
-/// worker counts and the legacy 1:1 driver, against the sequential oracle.
+/// BENCH_9: the dense tenant mix under the pool at several worker counts
+/// and at one worker per shard, against the sequential oracle.
 fn run_fleet_steal(args: &Args) -> Report {
     let shards = shards(args, steal::SHARDS);
     let host_cores = history::host_cores();
@@ -807,8 +796,6 @@ fn run_fleet_steal(args: &Args) -> Report {
             ("workers", workers),
             ("wall_secs", r.wall_secs.into()),
             ("steps_per_sec", r.steps_per_sec().into()),
-            ("steals", r.exec.steals.into()),
-            ("migrations", r.exec.migrations.into()),
             ("identical_to_oracle", oracle(r).into()),
         ])
     };
@@ -840,7 +827,7 @@ fn run_fleet_steal(args: &Args) -> Report {
     );
     report.headline("bench9_steal_wall_speedup", m.wall_speedup());
     report.headline("bench9_pool_steps_per_sec", pooled.steps_per_sec());
-    exec_headlines(&mut report, "bench9", pooled);
+    report.headline("bench9_host_workers", pooled.exec.workers as f64);
     report
 }
 

@@ -775,16 +775,16 @@ pub mod fuzz {
     }
 }
 
-/// The work-stealing fleet scheduler benchmark (`perfcheck --fleet-steal`,
+/// The fleet scheduler benchmark (`perfcheck --fleet-steal`,
 /// `BENCH_9.json`).
 ///
 /// The BENCH_4 tenant mix scaled out to 64 weighted, partly cycle-budgeted
 /// tenants on 8 single-core shards (16 on 4 with `--smoke`), served by the
-/// work-stealing pool at worker counts 1, 2, N and 2N and by the legacy
-/// 1:1 thread-per-shard driver. Every run must be `simulation_identical`
-/// to the sequential oracle, and the pooled runs to each other; the
-/// telemetry series must sum to the totals although shard tasks migrate
-/// between workers; and the plan-deterministic p99 op latency has a fixed
+/// shard-claim pool at worker counts 1, 2, N and 2N, and by the pool at
+/// one worker per shard (the `"1:1"` baseline). Every run must be
+/// `simulation_identical` to the sequential oracle, and the pooled runs to
+/// each other; the telemetry series must sum to the totals at every
+/// worker count; and the plan-deterministic p99 op latency has a fixed
 /// ceiling. The pool's wall speedup over 1:1 gates only on hosts with 4+
 /// cores, below which the two converge by construction.
 pub mod steal {
@@ -801,7 +801,7 @@ pub mod steal {
     /// single-task lmbench traffic with a capped sprinkling of
     /// multi-task churn tenants, weights rotating 1–4 and sporadic
     /// per-sweep cycle budgets so the weighted-fair and throttling paths
-    /// are all exercised under stealing.
+    /// are all exercised at every worker count.
     pub fn dense_tenants(smoke: bool) -> Vec<TenantSpec> {
         let count = if smoke { 16 } else { 64 };
         let mut tenants = Vec::with_capacity(count);
@@ -837,8 +837,8 @@ pub mod steal {
         pub counts: Vec<usize>,
         /// One pooled run per worker count (wall best-of-`repeats`).
         pub pooled: Vec<FleetReport>,
-        /// The legacy 1:1 thread-per-shard run — the wall-clock baseline
-        /// the pool is judged against (best-of-`repeats`).
+        /// The pool at one worker per shard — the wall-clock baseline the
+        /// default pool is judged against (best-of-`repeats`).
         pub threaded: FleetReport,
     }
 
@@ -862,7 +862,7 @@ pub mod steal {
         }
 
         /// Wall speedup of the default pooled run over the 1:1
-        /// thread-per-shard baseline. Host-dependent: meaningful (and
+        /// one-worker-per-shard baseline. Host-dependent: meaningful (and
         /// gated) only on hosts with at least 4 cores.
         pub fn wall_speedup(&self) -> f64 {
             self.threaded.wall_secs / self.pooled_default().wall_secs.max(1e-9)
@@ -893,7 +893,8 @@ pub mod steal {
     pub fn measure(shards: usize, seed: u64, smoke: bool, repeats: usize) -> StealMeasurement {
         let mut plan = FleetPlan::new(shards, seed, dense_tenants(smoke));
         plan.cpus_per_shard = 1;
-        // Telemetry on: gate 3 needs the series recorded under stealing.
+        // Telemetry on: gate 3 needs the series recorded at every worker
+        // count.
         plan.telemetry = true;
         let sequential = FleetDriver::drive_sequential(&plan).expect("sequential oracle runs");
         // The worker counts the invariance gate perturbs: 1, 2, N, 2N
@@ -909,13 +910,21 @@ pub mod steal {
                 // gate; re-measuring every count would multiply runtime
                 // for numbers nothing consumes.
                 let wall_repeats = if w == n { repeats } else { 1 };
+                let pinned = FleetPlan {
+                    workers: Some(w),
+                    ..plan.clone()
+                };
                 best_of(wall_repeats, || {
-                    FleetDriver::drive_with_workers(&plan, w).expect("pooled fleet runs")
+                    FleetDriver::drive(&pinned).expect("pooled fleet runs")
                 })
             })
             .collect();
+        let one_per_shard = FleetPlan {
+            workers: Some(shards),
+            ..plan.clone()
+        };
         let threaded = best_of(repeats, || {
-            FleetDriver::drive_threaded(&plan).expect("1:1 baseline runs")
+            FleetDriver::drive(&one_per_shard).expect("1:1 baseline runs")
         });
         StealMeasurement {
             plan,

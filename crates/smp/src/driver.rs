@@ -16,13 +16,12 @@
 //! and cycle budgets, interleaved on every shard by a deterministic
 //! weighted-fair schedule, with per-tenant
 //! [`camo_cpu::CpuStats`]/cycle attribution and simulated-cycle latency
-//! percentiles. Since PR 9 shard runs are *resumable tasks* over a
-//! work-stealing pool of host workers (see the `scheduler` module):
-//! shard count is decoupled from host thread count, and the host
-//! schedule — which worker runs which slice — is invisible to the
-//! simulation.
+//! percentiles. Host workers claim shards from one counter and run each
+//! to completion (see the `scheduler` module): shard count is decoupled
+//! from host thread count, and the host schedule — which worker runs
+//! which shard — is invisible to the simulation.
 
-use crate::scheduler::{self, ShardTask, TenantSched};
+use crate::scheduler::{self, TenantSched};
 use camo_core::ProtectionLevel;
 use camo_cpu::telemetry::StatWindow;
 use camo_cpu::CpuStats;
@@ -39,7 +38,7 @@ pub fn shard_seed(base: u64, index: usize) -> u64 {
 /// A multi-tenant fleet: an arbitrary workload mix across shards.
 #[derive(Debug, Clone)]
 pub struct FleetPlan {
-    /// Number of independent machines (host threads).
+    /// Number of independent machines.
     pub shards: usize,
     /// Cores per shard machine.
     pub cpus_per_shard: usize,
@@ -72,8 +71,8 @@ pub struct FleetPlan {
     /// expected failure count so the run measures the policy instead of
     /// halting on it.
     pub pac_panic_threshold: Option<u32>,
-    /// Host worker threads for [`FleetDriver::drive`]'s work-stealing
-    /// pool. `None` (the default) sizes the pool to
+    /// Host worker threads for [`FleetDriver::drive`]'s pool. `None`
+    /// (the default) sizes the pool to
     /// `min(available_parallelism, shards)`. Purely host-side: the
     /// worker count never touches the simulated schedule, so
     /// `simulation_identical` holds across any value — the
@@ -165,27 +164,26 @@ pub struct FleetShardReport {
     /// Sweeps of the simulated weighted-fair schedule this shard ran.
     /// Deterministic in the plan (part of `simulation_identical`).
     pub sweeps: u64,
-    /// This shard's own boot + serve duration, accumulated across its
-    /// slices on whichever workers ran them. Under a parallel drive this
-    /// includes host contention; under [`FleetDriver::drive_sequential`]
-    /// the shard ran alone, so `instructions / wall_secs` is its
+    /// This shard's own boot + serve duration on the worker that ran it.
+    /// Under a parallel drive this includes host contention; under
+    /// [`FleetDriver::drive_sequential`] the shard ran alone, so `instructions / wall_secs` is its
     /// isolated capacity.
     pub wall_secs: f64,
 }
 
-/// Host-side execution profile of a fleet run: how the work-stealing
-/// pool actually ran the shards. Everything here is host-dependent and
-/// excluded from [`FleetReport::simulation_identical`].
+/// Host-side execution profile of a fleet run: how the pool ran the
+/// shards. Everything here is host-dependent and excluded from
+/// [`FleetReport::simulation_identical`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ExecProfile {
-    /// Host worker threads that served the run (shard count for the
-    /// legacy 1:1 [`FleetDriver::drive_threaded`] mode, 1 for
+    /// Host worker threads that served the run (1 for
     /// [`FleetDriver::drive_sequential`]).
     pub workers: usize,
-    /// Tasks popped from another worker's queue.
+    /// Always 0: shards run to completion on the worker that claimed
+    /// them.
     pub steals: u64,
-    /// Slices that ran on a different worker than the previous slice of
-    /// the same shard (a steal that actually moved live shard state).
+    /// Always 0: shards run to completion on the worker that claimed
+    /// them.
     pub migrations: u64,
 }
 
@@ -206,8 +204,8 @@ pub struct FleetReport {
     pub stats: CpuStats,
     /// Host wall-clock seconds for the whole fan-out.
     pub wall_secs: f64,
-    /// How the host pool ran it (workers, steals, migrations) — wall
-    /// side only, excluded from [`FleetReport::simulation_identical`].
+    /// How the host pool ran it (worker count) — wall side only,
+    /// excluded from [`FleetReport::simulation_identical`].
     pub exec: ExecProfile,
 }
 
@@ -253,14 +251,13 @@ impl FleetReport {
     }
 }
 
-/// Runs [`FleetPlan`]s over a work-stealing pool of host workers.
+/// Runs [`FleetPlan`]s over a pool of host workers.
 ///
-/// Shard runs are resumable tasks that yield at sweep boundaries (see
-/// `scheduler` module docs); workers steal freely, so shard count is
-/// decoupled from host thread count. The *simulated* weighted-fair
-/// schedule is a pure function of the plan, so every drive mode —
-/// stealing at any worker count, legacy 1:1 threads, sequential — is
-/// [`FleetReport::simulation_identical`] to every other.
+/// Each worker claims the next unclaimed shard and runs it to completion
+/// (see `scheduler` module docs), so shard count is decoupled from host
+/// thread count. The *simulated* weighted-fair schedule is a pure
+/// function of the plan, so every drive — at any worker count, or
+/// sequential — is [`FleetReport::simulation_identical`] to every other.
 #[derive(Debug)]
 pub struct FleetDriver;
 
@@ -276,13 +273,14 @@ impl FleetDriver {
             .max(1)
     }
 
-    /// Executes `plan` over the work-stealing pool
-    /// ([`FleetPlan::workers`] workers, or [`FleetDriver::default_workers`]
-    /// when unset): boots every shard machine, serves each shard's share
-    /// of every tenant's quota on the simulated weighted-fair schedule,
-    /// and merges the results in shard order. Everything except
-    /// `wall_secs` and [`FleetReport::exec`] is deterministic in the
-    /// plan.
+    /// Executes `plan` over the pool ([`FleetPlan::workers`] workers, or
+    /// [`FleetDriver::default_workers`] when unset): boots every shard
+    /// machine, serves each shard's share of every tenant's quota on the
+    /// simulated weighted-fair schedule, and merges the results in shard
+    /// order. Everything except `wall_secs` and [`FleetReport::exec`] is
+    /// deterministic in the plan, whatever the worker count: fewer
+    /// workers than shards run shards back to back, and more workers
+    /// than shards exit with nothing to claim.
     ///
     /// # Errors
     ///
@@ -290,110 +288,40 @@ impl FleetDriver {
     ///
     /// # Panics
     ///
-    /// Panics if the plan has zero shards, zero CPUs per shard, or no
-    /// tenants.
+    /// Panics if the plan has zero shards, zero CPUs per shard, no
+    /// tenants, or `workers: Some(0)`.
     pub fn drive(plan: &FleetPlan) -> Result<FleetReport, KernelError> {
         let workers = plan.workers.unwrap_or_else(|| Self::default_workers(plan));
-        Self::drive_with_workers(plan, workers)
+        Self::drive_on(plan, workers)
     }
 
-    /// Executes `plan` over a work-stealing pool of exactly `workers`
-    /// host threads — fewer workers than shards interleave slices, more
-    /// workers than shards idle politely; the simulated totals are
-    /// bit-identical either way (the worker-count-invariance property
-    /// the torture suite gates).
-    ///
-    /// # Errors
-    ///
-    /// Propagates the first shard failure (by shard order).
-    ///
-    /// # Panics
-    ///
-    /// Panics like [`FleetDriver::drive`], or if `workers` is zero.
-    pub fn drive_with_workers(
-        plan: &FleetPlan,
-        workers: usize,
-    ) -> Result<FleetReport, KernelError> {
-        Self::check(plan);
-        assert!(workers > 0, "at least one worker");
-        let start = Instant::now();
-        let outcome = scheduler::run_pool(plan, workers);
-        let shards = outcome.shards.into_iter().collect::<Result<Vec<_>, _>>()?;
-        let exec = ExecProfile {
-            workers,
-            steals: outcome.steals,
-            migrations: outcome.migrations,
-        };
-        Ok(Self::merge(shards, start.elapsed().as_secs_f64(), exec))
-    }
-
-    /// Executes `plan` in the legacy 1:1 mode: one host thread per
-    /// shard, each running its shard task to completion. This is the
-    /// pre-stealing `FleetDriver` shape, kept as the wall-clock baseline
-    /// `perfcheck --fleet-steal` compares the pool against (and as a
-    /// degenerate steal-free schedule for the torture suite).
-    ///
-    /// # Errors
-    ///
-    /// Propagates the first shard failure (by shard order).
-    ///
-    /// # Panics
-    ///
-    /// Panics like [`FleetDriver::drive`].
-    pub fn drive_threaded(plan: &FleetPlan) -> Result<FleetReport, KernelError> {
-        Self::check(plan);
-        let start = Instant::now();
-        let mut results: Vec<Option<Result<FleetShardReport, KernelError>>> =
-            (0..plan.shards).map(|_| None).collect();
-        std::thread::scope(|scope| {
-            let mut handles = Vec::new();
-            for shard in 0..plan.shards {
-                handles.push(
-                    scope.spawn(move || scheduler::run_to_completion(ShardTask::new(plan, shard))),
-                );
-            }
-            for (shard, handle) in handles.into_iter().enumerate() {
-                results[shard] = Some(handle.join().expect("shard thread panicked"));
-            }
-        });
-        let shards = results
-            .into_iter()
-            .map(|r| r.expect("every shard joined"))
-            .collect::<Result<Vec<_>, _>>()?;
-        let exec = ExecProfile {
-            workers: plan.shards,
-            steals: 0,
-            migrations: 0,
-        };
-        Ok(Self::merge(shards, start.elapsed().as_secs_f64(), exec))
-    }
-
-    /// Executes `plan` with every shard run back to back on the calling
-    /// thread. The simulated totals are bit-identical to
-    /// [`FleetDriver::drive`] (shards share nothing, so the execution
-    /// mode is invisible to the simulation); only the wall-clock profile
-    /// differs. Each shard's `wall_secs` is its isolated runtime, so
-    /// [`FleetReport::capacity_steps_per_sec`] from this mode measures
+    /// Executes `plan` on one worker, the calling thread, with every
+    /// shard run back to back: [`FleetDriver::drive`] at one worker
+    /// whatever [`FleetPlan::workers`] says. The simulated totals are
+    /// bit-identical to any other drive (shards share nothing, so the
+    /// worker count is invisible to the simulation); only the wall-clock
+    /// profile differs. Each shard's `wall_secs` is its isolated runtime,
+    /// so [`FleetReport::capacity_steps_per_sec`] from this mode measures
     /// true per-shard capacity free of host contention.
     ///
     /// # Errors
     ///
-    /// Propagates the first shard failure.
+    /// Propagates the first shard failure (by shard order).
     ///
     /// # Panics
     ///
     /// Panics like [`FleetDriver::drive`].
     pub fn drive_sequential(plan: &FleetPlan) -> Result<FleetReport, KernelError> {
+        Self::drive_on(plan, 1)
+    }
+
+    fn drive_on(plan: &FleetPlan, workers: usize) -> Result<FleetReport, KernelError> {
         Self::check(plan);
         let start = Instant::now();
-        let mut shards = Vec::with_capacity(plan.shards);
-        for shard in 0..plan.shards {
-            shards.push(scheduler::run_to_completion(ShardTask::new(plan, shard))?);
-        }
+        let shards = scheduler::run_pool(plan, workers)?;
         let exec = ExecProfile {
-            workers: 1,
-            steals: 0,
-            migrations: 0,
+            workers,
+            ..ExecProfile::default()
         };
         Ok(Self::merge(shards, start.elapsed().as_secs_f64(), exec))
     }

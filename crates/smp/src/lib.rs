@@ -14,9 +14,9 @@
 //!   reschedule/TLB-shootdown. A 1-CPU cluster is bit-identical to
 //!   [`camo_core::Machine`].
 //! * **Host-parallel fleet** — [`FleetDriver`]: M independent machines
-//!   (each optionally a cluster) served as resumable shard tasks over a
-//!   work-stealing pool of host workers, running an arbitrary mix of
-//!   [`camo_workloads::Workload`] tenants on a deterministic
+//!   (each optionally a cluster) served by a pool of host workers that
+//!   each claim the next shard and run it to completion, running an
+//!   arbitrary mix of [`camo_workloads::Workload`] tenants on a deterministic
 //!   weighted-fair simulated schedule (per-tenant priorities and
 //!   simulated-cycle budgets with throttling), every quota partitioned
 //!   deterministically by seed, with per-tenant

@@ -1,18 +1,17 @@
-//! The work-stealing host scheduler: resumable shard tasks over a pool
-//! of host workers.
+//! The host scheduler: a pool of workers that claim shards and run each
+//! one to completion.
 //!
-//! # Task model
+//! # Pool model
 //!
-//! A shard run is a resumable task. Its unit of host work — a *slice* —
-//! is either the shard's machine boot or one *sweep* of the simulated
-//! weighted-fair schedule (every live tenant served up to `weight` ops,
-//! budgeted tenants throttled on simulated-cycle credit). A task yields
-//! between slices, which is what lets host workers steal it: any worker
-//! may run the next slice of any shard, so shard count is decoupled from
-//! host thread count — 8 shards make progress on 2 workers, and a
-//! 16-core host drains 8 shards without oversubscribing.
+//! Workers share one claim counter. Each worker claims the next
+//! unclaimed shard index and runs that shard from boot to report
+//! ([`run_shard`]: boot, then one *sweep* of the simulated weighted-fair
+//! schedule after another, then the report) before it claims the next.
+//! A worker exits as soon as no shard is left to claim. Shard count is
+//! decoupled from host thread count: 8 shards make progress on 2
+//! workers, and a 16-core host drains 8 shards without oversubscribing.
 //!
-//! # Why determinism survives stealing
+//! # Why determinism survives any pool shape
 //!
 //! The *simulated* schedule — which tenant's op runs next on a shard's
 //! machine, when a budgeted tenant is throttled, when a drained tenant
@@ -20,27 +19,23 @@
 //! and quotas are plan fields, throttling credit is denominated in
 //! simulated cycles, and the op streams are seeded per
 //! `(plan seed, shard, tenant name)`. The *host* schedule — which worker
-//! runs which slice, and when — only decides where and when those
-//! deterministic slices execute. Shards share nothing, a slice never
-//! splits an op, and exactly one worker owns a task at a time (tasks move
-//! between workers only through the pool's mutex-protected deques, whose
-//! lock handoff gives the memory ordering), so `simulation_identical`
-//! holds across any steal schedule, worker count, or drive mode — the
-//! same contract as `fast_caches`/`block_engine`/`trace_engine`.
+//! claims which shard, and when — only decides where and when those
+//! deterministic shard runs execute. Shards share nothing and a shard
+//! never leaves the worker that claimed it, so `simulation_identical`
+//! holds across any worker count or drive mode — the same contract as
+//! `fast_caches`/`block_engine`/`trace_engine`.
 //!
 //! The telemetry plane rides the same ownership rule: each tenant's
-//! series is plain state inside its `TenantRun`, which moves with the
-//! task, so no cross-thread handoff is needed and window-sums ≡ totals
-//! survives any steal schedule.
+//! series is plain state inside its `TenantRun`, owned by the one worker
+//! running the shard, so no cross-thread handoff is needed and
+//! window-sums ≡ totals holds at any worker count.
 
 use crate::cluster::Cluster;
 use crate::driver::{shard_seed, FleetPlan, FleetShardReport, TenantReport};
 use camo_cpu::CpuStats;
 use camo_kernel::{KernelConfig, KernelError};
 use camo_workloads::{tenant_stream_seed, Quota, TenantRun};
-use std::collections::VecDeque;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::Mutex;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Instant;
 
 /// Per-tenant facts of the *simulated* schedule on one shard (or summed
@@ -89,7 +84,7 @@ struct TenantState {
     sched: TenantSched,
 }
 
-/// The booted, resumable body of a shard run.
+/// A booted shard run.
 struct ShardRun<'p> {
     plan: &'p FleetPlan,
     shard: usize,
@@ -98,13 +93,10 @@ struct ShardRun<'p> {
     tenants: Vec<TenantState>,
     /// Completed sweeps (1-based during a sweep).
     sweeps: u64,
-    /// Host wall time accumulated across this shard's slices, on
-    /// whichever workers ran them.
-    wall_secs: f64,
 }
 
 impl<'p> ShardRun<'p> {
-    /// The boot slice: build workloads, compile their user blocks into
+    /// Boots the shard: build workloads, compile their user blocks into
     /// the machine image, boot the cluster, and set up every tenant's
     /// tasks in plan order.
     fn boot(plan: &'p FleetPlan, shard: usize) -> Result<ShardRun<'p>, KernelError> {
@@ -161,7 +153,6 @@ impl<'p> ShardRun<'p> {
             cluster,
             tenants,
             sweeps: 0,
-            wall_secs: 0.0,
         })
     }
 
@@ -234,9 +225,8 @@ impl<'p> ShardRun<'p> {
     }
 
     /// Assembles the shard report, taking every tenant's telemetry
-    /// series. Consumes the run.
-    fn finish(self) -> FleetShardReport {
-        let start = Instant::now();
+    /// series; `start` marks the beginning of the boot. Consumes the run.
+    fn finish(self, start: Instant) -> FleetShardReport {
         let mut stats = CpuStats::default();
         let (mut syscalls, mut instructions, mut cycles) = (0, 0, 0);
         let tenants: Vec<TenantReport> = self
@@ -269,188 +259,47 @@ impl<'p> ShardRun<'p> {
             cycles,
             stats,
             sweeps: self.sweeps,
-            wall_secs: self.wall_secs + start.elapsed().as_secs_f64(),
+            wall_secs: start.elapsed().as_secs_f64(),
         }
     }
 }
 
-/// What a slice left behind.
-pub(crate) enum Slice {
-    /// More slices to run — push the task back on a queue.
-    Yielded,
-    /// The shard's quota is fully served — call [`ShardTask::finish`].
-    Done,
+/// Runs shard `shard` of `plan` from boot to report on the calling
+/// thread.
+fn run_shard(plan: &FleetPlan, shard: usize) -> Result<FleetShardReport, KernelError> {
+    let start = Instant::now();
+    let mut run = ShardRun::boot(plan, shard)?;
+    while run.sweep()? {}
+    Ok(run.finish(start))
 }
 
-/// A resumable shard task: boots lazily (the boot is itself a slice, so
-/// boots spread across the pool too), then runs one sweep per slice.
-pub(crate) struct ShardTask<'p> {
-    plan: &'p FleetPlan,
-    shard: usize,
-    run: Option<Box<ShardRun<'p>>>,
-    last_worker: Option<usize>,
-}
-
-impl<'p> ShardTask<'p> {
-    pub(crate) fn new(plan: &'p FleetPlan, shard: usize) -> ShardTask<'p> {
-        ShardTask {
-            plan,
-            shard,
-            run: None,
-            last_worker: None,
-        }
-    }
-
-    pub(crate) fn shard(&self) -> usize {
-        self.shard
-    }
-
-    /// Records which worker is about to run a slice; returns `true` when
-    /// ownership migrated from a different worker (a steal landed).
-    pub(crate) fn note_worker(&mut self, worker: usize) -> bool {
-        let migrated = matches!(self.last_worker, Some(prev) if prev != worker);
-        self.last_worker = Some(worker);
-        migrated
-    }
-
-    /// Runs one slice (boot, or one sweep) on the calling thread.
-    ///
-    /// # Errors
-    ///
-    /// Propagates shard boot or kernel errors; an errored task is
-    /// complete (do not resume it).
-    pub(crate) fn run_slice(&mut self) -> Result<Slice, KernelError> {
-        let start = Instant::now();
-        match &mut self.run {
-            None => {
-                let run = Box::new(ShardRun::boot(self.plan, self.shard)?);
-                self.run = Some(run);
-                if let Some(run) = &mut self.run {
-                    run.wall_secs += start.elapsed().as_secs_f64();
-                }
-                Ok(Slice::Yielded)
-            }
-            Some(run) => {
-                let live = run.sweep()?;
-                run.wall_secs += start.elapsed().as_secs_f64();
-                Ok(if live { Slice::Yielded } else { Slice::Done })
-            }
-        }
-    }
-
-    /// Assembles the shard report. Panics if the task never booted or is
-    /// resumed after an error.
-    pub(crate) fn finish(self) -> FleetShardReport {
-        self.run.expect("task ran to completion").finish()
-    }
-}
-
-/// Runs a task to completion on the calling thread (the sequential
-/// oracle and the legacy 1:1 thread-per-shard baseline both use this).
-pub(crate) fn run_to_completion(mut task: ShardTask<'_>) -> Result<FleetShardReport, KernelError> {
-    loop {
-        match task.run_slice()? {
-            Slice::Yielded => {}
-            Slice::Done => return Ok(task.finish()),
-        }
-    }
-}
-
-/// What the pool did, host-side.
-pub(crate) struct PoolOutcome {
-    /// Per-shard results in shard order (every shard completes — an
-    /// error in one shard does not abort the others).
-    pub(crate) shards: Vec<Result<FleetShardReport, KernelError>>,
-    /// Tasks popped from another worker's queue.
-    pub(crate) steals: u64,
-    /// Slices that ran on a different worker than the previous slice of
-    /// the same shard.
-    pub(crate) migrations: u64,
-}
-
-/// Executes every shard of `plan` over `workers` host threads with work
-/// stealing: each worker owns a deque, pops its own tasks LIFO, and
-/// steals FIFO from the others when idle. Excess workers (more than live
-/// tasks) spin down politely; fewer workers than shards just means more
-/// slices per worker — both ends are exercised by the worker-count
-/// invariance stress tests.
-pub(crate) fn run_pool(plan: &FleetPlan, workers: usize) -> PoolOutcome {
+/// Runs every shard of `plan` over `workers` host threads (the calling
+/// thread is one of them) and returns the shard reports in shard order,
+/// or the first shard failure by shard order. Each worker claims the
+/// next unclaimed shard from one shared counter and runs it to
+/// completion; an error in one shard does not stop the others.
+pub(crate) fn run_pool(
+    plan: &FleetPlan,
+    workers: usize,
+) -> Result<Vec<FleetShardReport>, KernelError> {
     assert!(workers >= 1, "at least one worker");
-    let queues: Vec<Mutex<VecDeque<ShardTask<'_>>>> =
-        (0..workers).map(|_| Mutex::new(VecDeque::new())).collect();
-    for shard in 0..plan.shards {
-        queues[shard % workers]
-            .lock()
-            .unwrap()
-            .push_back(ShardTask::new(plan, shard));
-    }
-    let remaining = AtomicUsize::new(plan.shards);
-    let steals = AtomicU64::new(0);
-    let migrations = AtomicU64::new(0);
-    let results: Vec<Mutex<Option<Result<FleetShardReport, KernelError>>>> =
-        (0..plan.shards).map(|_| Mutex::new(None)).collect();
-    std::thread::scope(|scope| {
-        for me in 0..workers {
-            let queues = &queues;
-            let remaining = &remaining;
-            let steals = &steals;
-            let migrations = &migrations;
-            let results = &results;
-            scope.spawn(move || {
-                let mut idle_spins = 0u32;
-                while remaining.load(Ordering::Acquire) > 0 {
-                    // Own pop in its own statement: the guard must drop
-                    // before stealing, or two idle workers stealing from
-                    // each other each hold the lock the other waits on.
-                    let own = queues[me].lock().unwrap().pop_back();
-                    let task = own.or_else(|| {
-                        (1..workers).find_map(|offset| {
-                            let victim = (me + offset) % workers;
-                            let stolen = queues[victim].lock().unwrap().pop_front();
-                            if stolen.is_some() {
-                                steals.fetch_add(1, Ordering::Relaxed);
-                            }
-                            stolen
-                        })
-                    });
-                    let Some(mut task) = task else {
-                        // Nothing runnable right now (other workers hold
-                        // the live tasks): yield, then back off.
-                        idle_spins += 1;
-                        if idle_spins > 64 {
-                            std::thread::sleep(std::time::Duration::from_micros(50));
-                        } else {
-                            std::thread::yield_now();
-                        }
-                        continue;
-                    };
-                    idle_spins = 0;
-                    if task.note_worker(me) {
-                        migrations.fetch_add(1, Ordering::Relaxed);
-                    }
-                    match task.run_slice() {
-                        Ok(Slice::Yielded) => queues[me].lock().unwrap().push_back(task),
-                        Ok(Slice::Done) => {
-                            let shard = task.shard();
-                            *results[shard].lock().unwrap() = Some(Ok(task.finish()));
-                            remaining.fetch_sub(1, Ordering::Release);
-                        }
-                        Err(e) => {
-                            let shard = task.shard();
-                            *results[shard].lock().unwrap() = Some(Err(e));
-                            remaining.fetch_sub(1, Ordering::Release);
-                        }
-                    }
-                }
-            });
+    // `Relaxed`: the counter publishes no data. Helper workers hand their
+    // shard reports back through `join`, which synchronises.
+    let next = AtomicUsize::new(0);
+    let work = || {
+        std::iter::from_fn(|| Some(next.fetch_add(1, Ordering::Relaxed)))
+            .take_while(|&shard| shard < plan.shards)
+            .map(|shard| (shard, run_shard(plan, shard)))
+            .collect::<Vec<_>>()
+    };
+    let mut done = std::thread::scope(|scope| {
+        let helpers: Vec<_> = (1..workers).map(|_| scope.spawn(work)).collect();
+        let mut done = work();
+        for helper in helpers {
+            done.extend(helper.join().expect("a fleet worker panicked"));
         }
+        done
     });
-    PoolOutcome {
-        shards: results
-            .into_iter()
-            .map(|m| m.into_inner().unwrap().expect("every shard completed"))
-            .collect(),
-        steals: steals.load(Ordering::Relaxed),
-        migrations: migrations.load(Ordering::Relaxed),
-    }
+    done.sort_unstable_by_key(|&(shard, _)| shard);
+    done.into_iter().map(|(_, result)| result).collect()
 }

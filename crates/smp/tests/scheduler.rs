@@ -1,11 +1,11 @@
-//! Determinism torture tests for the work-stealing fleet scheduler.
+//! Determinism torture tests for the fleet scheduler's shard-claim pool.
 //!
-//! The contract under test: the *host* schedule — worker count, steal
-//! order, where each slice runs — is invisible to the *simulated*
-//! schedule. For any plan (any shard count, tenant mix, priority vector,
-//! cycle budgets, mid-run tenant exits), a work-stealing drive at any
-//! worker count is bit-identical to the sequential oracle on cycles,
-//! architectural counters, and all telemetry counters.
+//! The contract under test: the *host* schedule — worker count, which
+//! worker claims which shard — is invisible to the *simulated* schedule.
+//! For any plan (any shard count, tenant mix, priority vector, cycle
+//! budgets, mid-run tenant exits), a pooled drive at any worker count is
+//! bit-identical to the sequential oracle on cycles, architectural
+//! counters, and all telemetry counters.
 //!
 //! Every property here is seeded through the vendored proptest's
 //! per-test deterministic RNG (`test_runner::rng_for`), so CI explores
@@ -22,6 +22,13 @@ use proptest::strategy::TestRng;
 /// drive, so they run fewer cases than a pure in-memory property would.
 fn cases(cap: u32) -> u32 {
     proptest::test_runner::cases().min(cap)
+}
+
+/// `plan` with its pool pinned to `workers` host threads.
+fn with_workers(plan: &FleetPlan, workers: usize) -> FleetPlan {
+    let mut plan = plan.clone();
+    plan.workers = Some(workers);
+    plan
 }
 
 /// Samples a random fleet plan: 1–16 shards, 1–64 tenants with mixed
@@ -91,7 +98,7 @@ fn assert_identical(label: &str, a: &FleetReport, b: &FleetReport) {
 }
 
 /// Satellite 1: for random plans across the whole parameter space, the
-/// work-stealing drive is bit-identical to the sequential oracle on
+/// pooled drive is bit-identical to the sequential oracle on
 /// cycles, arch counters, and every telemetry counter.
 #[test]
 fn steal_schedule_matches_sequential_oracle() {
@@ -100,15 +107,15 @@ fn steal_schedule_matches_sequential_oracle() {
         let plan = sample_plan(&mut rng, case);
         let workers = (1usize..=5).sample(&mut rng);
         let oracle = FleetDriver::drive_sequential(&plan).expect("oracle runs");
-        let steal = FleetDriver::drive_with_workers(&plan, workers).expect("steal pool runs");
-        assert_eq!(steal.exec.workers, workers);
+        let pooled = FleetDriver::drive(&with_workers(&plan, workers)).expect("pool runs");
+        assert_eq!(pooled.exec.workers, workers);
         assert_identical(
             &format!(
                 "case {case}: {} shards x {} tenants, {workers} workers",
                 plan.shards,
                 plan.tenants.len()
             ),
-            &steal,
+            &pooled,
             &oracle,
         );
     }
@@ -138,8 +145,8 @@ fn stress_plan(seed: u64) -> FleetPlan {
 }
 
 /// Satellite 2: the same plan across 8 runs with perturbed worker counts
-/// (1, 2, N, 2N) produces identical reports — host-schedule-dependent
-/// nondeterminism the 1:1 model could never exhibit would surface here.
+/// (1, 2, N, 2N) produces identical reports — any nondeterminism that
+/// depends on the host schedule would surface here.
 #[test]
 fn worker_count_perturbation_is_invisible() {
     let plan = stress_plan(0x57EA1);
@@ -147,16 +154,16 @@ fn worker_count_perturbation_is_invisible() {
     let oracle = FleetDriver::drive_sequential(&plan).expect("oracle runs");
     let counts = [1, 2, n, 2 * n, 1, 2, n, 2 * n];
     for (run, workers) in counts.into_iter().enumerate() {
-        let report = FleetDriver::drive_with_workers(&plan, workers).expect("pool runs");
+        let report = FleetDriver::drive(&with_workers(&plan, workers)).expect("pool runs");
         assert_identical(
             &format!("run {run} with {workers} workers"),
             &report,
             &oracle,
         );
     }
-    // The legacy 1:1 mode is just another host schedule.
-    let threaded = FleetDriver::drive_threaded(&plan).expect("1:1 runs");
-    assert_identical("1:1 threaded baseline", &threaded, &oracle);
+    // One worker per shard is just another host schedule.
+    let threaded = FleetDriver::drive(&with_workers(&plan, plan.shards)).expect("1:1 runs");
+    assert_identical("one worker per shard", &threaded, &oracle);
 }
 
 /// Satellite 3a: a tenant whose quota drains mid-run leaves the rotation
@@ -181,8 +188,8 @@ fn drained_tenant_frees_share_without_skewing_others() {
     spiked.cpus_per_shard = 2;
 
     let oracle = FleetDriver::drive_sequential(&spiked).expect("spiked plan runs");
-    let steal = FleetDriver::drive_with_workers(&spiked, 3).expect("steal pool runs");
-    assert_identical("spiked plan", &steal, &oracle);
+    let pooled = FleetDriver::drive(&with_workers(&spiked, 3)).expect("pool runs");
+    assert_identical("spiked plan", &pooled, &oracle);
 
     let spike = oracle
         .tenants
@@ -230,7 +237,8 @@ fn drained_tenant_frees_share_without_skewing_others() {
 /// killed by the §5.4 policy and reclaimed by `Kernel::reap_task` drains
 /// exactly like a benign one: every hostile op matches its declared
 /// outcome (the matrix-24 discipline), benign tenants are bit-identical
-/// to an attack-free baseline, and the whole thing is steal-invariant.
+/// to an attack-free baseline, and the whole thing is worker-count
+/// invariant.
 #[test]
 fn reaped_hostile_tenant_drains_cleanly() {
     let benign = vec![
@@ -248,8 +256,8 @@ fn reaped_hostile_tenant_drains_cleanly() {
     attacked.pac_panic_threshold = Some(u32::MAX);
 
     let oracle = FleetDriver::drive_sequential(&attacked).expect("attacked plan runs");
-    let steal = FleetDriver::drive_with_workers(&attacked, 2).expect("steal pool runs");
-    assert_identical("attacked plan", &steal, &oracle);
+    let pooled = FleetDriver::drive(&with_workers(&attacked, 2)).expect("pool runs");
+    assert_identical("attacked plan", &pooled, &oracle);
 
     let fuzz = oracle
         .tenants
@@ -330,8 +338,8 @@ fn cycle_budgets_throttle_deterministically() {
         plan
     };
     let oracle = FleetDriver::drive_sequential(&plan).expect("oracle runs");
-    let steal = FleetDriver::drive_with_workers(&plan, 2).expect("pool runs");
-    assert_identical("budgeted plan", &steal, &oracle);
+    let pooled = FleetDriver::drive(&with_workers(&plan, 2)).expect("pool runs");
+    assert_identical("budgeted plan", &pooled, &oracle);
 
     let capped = oracle.tenants.iter().find(|t| t.name == "capped").unwrap();
     assert_eq!(capped.totals.ops, 8, "throttling defers, never starves");
@@ -354,13 +362,24 @@ fn exec_profile_reflects_drive_mode() {
     let plan = stress_plan(0xE9EC);
     let seq = FleetDriver::drive_sequential(&plan).expect("sequential runs");
     assert_eq!(seq.exec.workers, 1);
-    assert_eq!(seq.exec.steals, 0);
-    let pooled = FleetDriver::drive_with_workers(&plan, 3).expect("pool runs");
+    let pooled = FleetDriver::drive(&with_workers(&plan, 3)).expect("pool runs");
     assert_eq!(pooled.exec.workers, 3);
-    let threaded = FleetDriver::drive_threaded(&plan).expect("1:1 runs");
+    let threaded = FleetDriver::drive(&with_workers(&plan, plan.shards)).expect("1:1 runs");
     assert_eq!(threaded.exec.workers, plan.shards);
-    assert_eq!(threaded.exec.steals, 0);
+    // Shards never move between workers, in any mode.
+    for report in [&seq, &pooled, &threaded] {
+        assert_eq!(report.exec.steals, 0);
+        assert_eq!(report.exec.migrations, 0);
+    }
     // Different exec profiles, identical simulation.
     assert_identical("exec profile modes", &pooled, &seq);
     assert_identical("threaded vs sequential", &threaded, &seq);
+}
+
+/// A pool needs at least one worker; `workers: Some(0)` is a plan bug.
+#[test]
+#[should_panic(expected = "at least one worker")]
+fn zero_workers_panics() {
+    let plan = FleetPlan::new(1, 0x2E50, vec![TenantSpec::lmbench("web", 4)]);
+    let _ = FleetDriver::drive(&with_workers(&plan, 0));
 }
