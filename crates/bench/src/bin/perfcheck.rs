@@ -13,7 +13,7 @@
 //! | `--fleet` | `BENCH_4.json` | the standard tenant mix, parallel vs sequential | `simulation_identical` | — | `bench4_capacity_steps_per_sec`, `bench4_host_workers` |
 //! | `--blocks` | `BENCH_5.json` | hot loop and fleet mix × block engine off/on (caches on, traces off) | `cycles_identical`, `arch_identical`, `parallel_sequential_identical`, `simulation_identical` | both ≥ 2× (ungated) | `bench5_hot_loop_speedup`, `bench5_fleet_speedup` |
 //! | `--traces` | `BENCH_7.json` | hot loop and fleet mix × trace tier off/on (caches and blocks on) | as `--blocks` | both ≥ 2× (ungated) | `bench7_hot_loop_speedup`, `bench7_fleet_speedup` |
-//! | `--fuzz` | `BENCH_6.json` | benign + fuzz tenants × block engine off/on; each benign tenant again alone | per arm `<arm>.all_hostile_matched`, `<arm>.zero_false_positives`, `<arm>.benign_isolated`, `<arm>.parallel_sequential_identical`; `arms_arch_identical` | — | — |
+//! | `--fuzz` | `BENCH_6.json` | benign + fuzz tenants × block engine off/on; each benign tenant again alone; one fuzz tenant alone for 21k ops (the soak, same size under `--smoke`) | per arm `<arm>.all_hostile_matched`, `<arm>.zero_false_positives`, `<arm>.benign_isolated`, `<arm>.parallel_sequential_identical`; `arms_arch_identical`; `soak_ok` | — | — |
 //! | `--telemetry` | `BENCH_8.json` | fleet mix × telemetry off/on | the `--blocks` fleet gates, plus `fully_identical`, `off_arm_silent`, `series_complete`, `overhead_within_budget` (< 0.02) and `attack_matrix_matches_paper` (24 rows) | — | `bench8_drain_overhead` |
 //! | `--fleet-steal` | `BENCH_9.json` | dense tenant mix: sequential oracle, pool at 1/2/N/2N workers and at one worker per shard (1:1) | `bit_identical`, `worker_invariant`, `telemetry_series_complete`, `p99_within_target` (≤ 25 000 cycles) | pool ≥ 1.5× over 1:1 (gated on hosts with 4+ cores) | `bench9_steal_wall_speedup`, `bench9_pool_steps_per_sec`, `bench9_host_workers` |
 //!
@@ -766,6 +766,13 @@ fn run_fuzz(args: &Args) -> Report {
         }
     }
     report.gate("arms_arch_identical", ab.arch_identical());
+    let soak = fuzz::soak(args.seed);
+    if let Some(e) = &soak.error {
+        eprintln!("soak: shard aborted: {e}");
+    }
+    report.field("soak_ops", soak.ops);
+    report.field("soak_ok", soak.ok());
+    report.gate("soak_ok", soak.ok());
     report.row(
         "adversarial_mix",
         ab.on.mixed.parallel.steps_per_sec(),

@@ -594,9 +594,14 @@ pub mod fleet {
 /// The §5.4 measurements the paper motivates — false-positive rate and
 /// time-to-kill (simulated cycles from attack trigger to task kill) — are
 /// reported alongside the gates.
+///
+/// A fourth gate, the [`fuzz::soak`], drives one fuzz tenant alone for
+/// [`fuzz::SOAK_OPS`] ops: long enough that every kernel resource the
+/// hostile ops churn (tids, frames, tables, file-heap slots) is recycled
+/// many times over.
 pub mod fuzz {
     use super::fleet::{self, FleetMeasurement};
-    use camo_smp::{FleetPlan, TenantReport};
+    use camo_smp::{FleetDriver, FleetPlan, TenantReport};
     use camo_workloads::{HostileOp, HostileTotals, TenantSpec};
 
     /// The benign side of the adversarial plan. Placed *first* in the
@@ -760,6 +765,48 @@ pub mod fuzz {
                 .iter()
                 .all(|arm| arm.gates().iter().all(|(_, ok)| *ok))
                 && self.arch_identical()
+        }
+    }
+
+    /// Ops in the soak run: past the 19k-op point where a file heap that
+    /// reused slots as a ring once put a forged `f_ops` under a live fd.
+    pub const SOAK_OPS: u64 = 21_000;
+
+    /// The outcome of one [`soak`] run.
+    #[derive(Debug)]
+    pub struct Soak {
+        /// Ops the tenant completed (0 when the shard aborted).
+        pub ops: u64,
+        /// §5.4 failure-policy events in benign windows.
+        pub benign_pac_events: u64,
+        /// The error that aborted the shard, if any.
+        pub error: Option<String>,
+    }
+
+    impl Soak {
+        /// Every op ran, no kernel error, no benign PAC event.
+        pub fn ok(&self) -> bool {
+            self.error.is_none() && self.ops == SOAK_OPS && self.benign_pac_events == 0
+        }
+    }
+
+    /// One `FuzzMix` tenant alone on one 2-core shard for [`SOAK_OPS`]
+    /// ops, with the §5.4 panic threshold lifted.
+    pub fn soak(seed: u64) -> Soak {
+        let mut plan = FleetPlan::new(1, seed, vec![TenantSpec::fuzz("soak", SOAK_OPS)]);
+        plan.cpus_per_shard = 2;
+        plan.pac_panic_threshold = Some(u32::MAX);
+        match FleetDriver::drive_sequential(&plan) {
+            Ok(report) => Soak {
+                ops: report.tenants[0].totals.ops,
+                benign_pac_events: report.tenants[0].totals.hostile.benign_pac_events,
+                error: None,
+            },
+            Err(e) => Soak {
+                ops: 0,
+                benign_pac_events: 0,
+                error: Some(e.to_string()),
+            },
         }
     }
 

@@ -3,7 +3,7 @@
 use crate::image::{build_user_program, syscall_by_nr, KernelImage};
 use crate::layout::{
     self, file_struct, task_struct, type_consts, upcall, KEYSETTER_VA, PT_X8, RODATA_BASE,
-    USER_STACK_TOP, USER_TEXT_BASE, VECTORS_VA,
+    USER_STACK_PAGES, USER_STACK_TOP, USER_TEXT_BASE, VECTORS_VA,
 };
 use crate::objects::{FileKind, FileTable, KernelEvent, PacPolicy, Task, Tid};
 use crate::sched::Scheduler;
@@ -157,6 +157,8 @@ pub enum KernelError {
     BadTask(Tid),
     /// A run exceeded its step budget.
     Hung,
+    /// Every `struct file` slot of the file heap backs an open fd.
+    FileHeapExhausted,
 }
 
 impl core::fmt::Display for KernelError {
@@ -171,6 +173,7 @@ impl core::fmt::Display for KernelError {
             }
             KernelError::BadTask(tid) => write!(f, "no live task {tid}"),
             KernelError::Hung => write!(f, "simulation exceeded its step budget"),
+            KernelError::FileHeapExhausted => write!(f, "no free struct file slot"),
         }
     }
 }
@@ -233,6 +236,9 @@ pub struct ModuleHandle {
     pub base_va: u64,
     /// The module's linked image.
     pub image: Image,
+    /// The frames backing the module's text, in page order: owned by the
+    /// module and freed when it is unloaded.
+    frames: Vec<Frame>,
 }
 
 /// The simulated machine: CPU + memory + the kernel proper.
@@ -259,7 +265,10 @@ pub struct Kernel {
     events: Vec<KernelEvent>,
     modules: Vec<ModuleHandle>,
     rng: StdRng,
+    /// File-heap slots never handed out yet start here; slots of closed
+    /// files wait in `free_file_slots` and are reused LIFO first.
     next_file_slot: u64,
+    free_file_slots: Vec<u64>,
     next_work_slot: u64,
     next_tid: Tid,
     /// Tids released by [`Kernel::exit_task`], reused LIFO by `spawn` so a
@@ -275,6 +284,8 @@ pub struct Kernel {
 
 /// Pages backing each of the file and work heaps.
 const HEAP_PAGES: u64 = 8;
+/// `struct file` slots in the file heap.
+const FILE_SLOTS: u64 = HEAP_PAGES * PAGE_SIZE / file_struct::SIZE;
 
 /// Retired-instruction budget for a single kernel-internal call.
 ///
@@ -444,6 +455,7 @@ impl Kernel {
             events: Vec::new(),
             modules: Vec::new(),
             next_file_slot: 0,
+            free_file_slots: Vec::new(),
             next_work_slot: 0,
             next_tid: 0,
             free_tids: Vec::new(),
@@ -695,8 +707,10 @@ impl Kernel {
     ///
     /// Tids released by [`Kernel::exit_task`] are reused (LIFO, like PID
     /// recycling): a recycled tid's kernel stack and `task_struct` pages
-    /// are already mapped and every live field is re-initialised below, so
-    /// a fork/exit storm runs in bounded address space.
+    /// are already mapped and every live field is re-initialised below.
+    /// The user table and user-stack frames come from the memory system's
+    /// free lists, so a fork/exit storm runs in bounded address space and
+    /// bounded memory.
     pub fn spawn(&mut self, name: &str) -> Result<Tid, KernelError> {
         let tid = match self.free_tids.pop() {
             Some(tid) => tid,
@@ -750,18 +764,19 @@ impl Kernel {
             .write_u64(&kctx, cc + 80 + 8, CALL_SENTINEL)
             .expect("task page mapped");
 
-        // User address space: program text (shared frames) + stack.
+        // User address space: program text (shared frames) + private
+        // stack frames.
         let user_table = self.mem.new_table();
         for &(va, frame) in &self.user_frames {
             self.mem.map(user_table, va, frame, S1Attr::user_text());
         }
-        for page in 1..=4u64 {
+        let user_stack: [Frame; USER_STACK_PAGES] = core::array::from_fn(|i| {
             self.mem.map_new(
                 user_table,
-                USER_STACK_TOP - page * PAGE_SIZE,
+                USER_STACK_TOP - (i as u64 + 1) * PAGE_SIZE,
                 S1Attr::user_data(),
-            );
-        }
+            )
+        });
 
         // Place the new task on the least-loaded runqueue (always CPU 0
         // on a uniprocessor, preserving the pre-SMP behaviour exactly).
@@ -770,6 +785,8 @@ impl Kernel {
             tid,
             name: name.to_string(),
             user_table,
+            user_stack,
+            fd: 0, // opened below
             alive: true,
             user_keys,
             cpu,
@@ -783,21 +800,27 @@ impl Kernel {
         self.kexec(init_sp, &[ts_va, sp0])?;
 
         // Pre-open a /dev/zero file so fd-based syscalls have a target.
-        let file = self.alloc_file(FileKind::DevZero)?;
-        self.files.insert(file);
+        let (fd, _) = self.open_file(FileKind::DevZero)?;
+        if let Some(task) = self.tasks.iter_mut().find(|t| t.tid == tid) {
+            task.fd = fd;
+        }
         Ok(tid)
     }
 
     /// Allocates and initialises a `struct file`, signing its `f_ops`
     /// through kernel code (`set_file_ops`, §5.3).
+    ///
+    /// The file's heap slot is returned for reuse only when an fd that
+    /// names it is closed ([`Kernel::close_fd`]); a file never installed
+    /// in the fd table keeps its slot.
+    ///
+    /// # Errors
+    ///
+    /// [`KernelError::FileHeapExhausted`] when every slot backs a live
+    /// file; signing failures from the kernel call.
     pub fn alloc_file(&mut self, kind: FileKind) -> Result<u64, KernelError> {
-        let capacity = HEAP_PAGES * PAGE_SIZE / file_struct::SIZE;
-        let va = file_heap_base() + (self.next_file_slot % capacity) * file_struct::SIZE;
-        self.next_file_slot += 1;
+        let va = self.alloc_file_raw()?;
         let kctx = self.mem.kernel_ctx(self.kernel_table);
-        self.mem
-            .write_u64(&kctx, va + u64::from(file_struct::FLAGS), 1)
-            .expect("file heap mapped");
         self.mem
             .write_u64(&kctx, va + u64::from(file_struct::F_OPS), kind.ops_va())
             .expect("file heap mapped");
@@ -826,11 +849,21 @@ impl Kernel {
     ///
     /// # Errors
     ///
-    /// Propagates signing failures from [`Kernel::alloc_file`].
+    /// Propagates failures from [`Kernel::alloc_file`].
     pub fn open_file(&mut self, kind: FileKind) -> Result<(u64, u64), KernelError> {
         let va = self.alloc_file(kind)?;
         let fd = self.files.insert(va);
         Ok((fd, va))
+    }
+
+    /// Closes `fd` and returns its file's heap slot to the free list, so a
+    /// later allocation reuses it. Fd numbers are never reused. Returns
+    /// the closed file's VA, or `None` if `fd` was not open.
+    pub fn close_fd(&mut self, fd: u64) -> Option<u64> {
+        let va = self.files.remove(fd)?;
+        self.free_file_slots
+            .push((va - file_heap_base()) / file_struct::SIZE);
+        Some(va)
     }
 
     /// Allocates a `work_struct` and initialises its protected callback
@@ -891,9 +924,10 @@ impl Kernel {
     /// the free pool for reuse by a later [`Kernel::spawn`] (PID
     /// recycling) — which is what keeps a fork/exit churn workload inside
     /// the fixed stack and `task_struct` VA regions. The kernel stack and
-    /// `task_struct` pages stay mapped for the recycled tid; the user
-    /// address-space table is abandoned (tables are never freed in this
-    /// simulator).
+    /// `task_struct` pages stay mapped for the recycled tid. What the task
+    /// owns is freed: its pre-opened fd, its user address-space table and
+    /// its private user-stack frames (the shared user text stays), so the
+    /// churn also runs in bounded memory.
     ///
     /// Unlike the §5.4 kill path ([`KernelEvent::TaskKilled`]), a graceful
     /// exit leaves no dead entry behind for forensics — there is nothing
@@ -909,13 +943,7 @@ impl Kernel {
         }
         let idx = self.task_index(tid)?;
         self.sched.remove(tid);
-        self.tasks.remove(idx);
-        match self.current.cmp(&idx) {
-            core::cmp::Ordering::Greater => self.current -= 1,
-            core::cmp::Ordering::Equal => self.current = 0, // fall back to init
-            core::cmp::Ordering::Less => {}
-        }
-        self.free_tids.push(tid);
+        self.release_task(idx);
         self.events.push(KernelEvent::TaskExited { tid });
         Ok(())
     }
@@ -938,15 +966,29 @@ impl Kernel {
             .iter()
             .position(|t| t.tid == tid && !t.alive)
             .ok_or(KernelError::BadTask(tid))?;
-        self.tasks.remove(idx);
+        self.release_task(idx);
+        self.events.push(KernelEvent::TaskReaped { tid });
+        Ok(())
+    }
+
+    /// Removes the task at `idx` and releases what it owns: its
+    /// pre-opened fd, its user table and its private user-stack frames
+    /// (never the shared user-text frames); then frees its tid.
+    fn release_task(&mut self, idx: usize) {
+        let task = self.tasks.remove(idx);
         match self.current.cmp(&idx) {
             core::cmp::Ordering::Greater => self.current -= 1,
             core::cmp::Ordering::Equal => self.current = 0, // fall back to init
             core::cmp::Ordering::Less => {}
         }
-        self.free_tids.push(tid);
-        self.events.push(KernelEvent::TaskReaped { tid });
-        Ok(())
+        self.close_fd(task.fd);
+        let table_freed = self.mem.free_table(task.user_table);
+        debug_assert!(table_freed, "a task owns its user table");
+        for frame in task.user_stack {
+            let freed = self.mem.free_frame(frame);
+            debug_assert!(freed, "a task owns its user-stack frames");
+        }
+        self.free_tids.push(task.tid);
     }
 
     /// Loads a kernel module: §4.1 static verification first, then map,
@@ -978,22 +1020,27 @@ impl Kernel {
                 violations: violations.iter().map(|v| v.to_string()).collect(),
             });
         }
-        let bytes = image.to_bytes();
-        let pages = bytes.chunks(PAGE_SIZE as usize).len();
-        for (page, chunk) in bytes.chunks(PAGE_SIZE as usize).enumerate() {
-            let frame = self.mem.map_new(
-                self.kernel_table,
-                base + page as u64 * PAGE_SIZE,
-                S1Attr::kernel_text(),
-            );
-            self.mem
-                .phys_mut()
-                .write_bytes(frame.base(), chunk)
-                .expect("fresh frame backed");
-        }
+        let frames: Vec<Frame> = image
+            .to_bytes()
+            .chunks(PAGE_SIZE as usize)
+            .enumerate()
+            .map(|(page, chunk)| {
+                let frame = self.mem.map_new(
+                    self.kernel_table,
+                    base + page as u64 * PAGE_SIZE,
+                    S1Attr::kernel_text(),
+                );
+                self.mem
+                    .phys_mut()
+                    .write_bytes(frame.base(), chunk)
+                    .expect("fresh frame backed");
+                frame
+            })
+            .collect();
         // Sign the module's statically-initialised pointers in kernel code.
-        // On failure the mapping is rolled back and the slot returned, so
-        // a hostile statics table cannot leak module address space.
+        // On failure the text is unmapped and freed and the slot returned,
+        // so a hostile statics table cannot leak module address space or
+        // frames.
         if self.protected() && self.codegen_cfg.protect_pointers {
             for entry in statics.entries() {
                 let sym = match entry.key {
@@ -1009,10 +1056,7 @@ impl Kernel {
                         u64::from(entry.type_const),
                     ],
                 ) {
-                    for page in 0..pages {
-                        self.mem
-                            .unmap(self.kernel_table, base + page as u64 * PAGE_SIZE);
-                    }
+                    self.release_module_text(base, &frames);
                     self.free_module_slots.push(slot);
                     return Err(e);
                 }
@@ -1021,6 +1065,7 @@ impl Kernel {
         let handle = ModuleHandle {
             base_va: base,
             image,
+            frames,
         };
         self.modules.push(handle.clone());
         Ok(handle)
@@ -1029,9 +1074,11 @@ impl Kernel {
     /// Unloads a module: unmaps every page of its text from the kernel
     /// table (the TLB-generation bump makes any cached translation of the
     /// module unservable from the next fetch on any core — the shootdown
-    /// half of `delete_module`) and returns its load slot to the free pool
-    /// for reuse by the next [`Kernel::load_module`]. Physical frames are
-    /// not recycled, matching the simulator-wide frame discipline.
+    /// half of `delete_module`), frees the text frames the module owns,
+    /// and returns its load slot to the free pool for reuse by the next
+    /// [`Kernel::load_module`]. A freed frame's write version only grows,
+    /// so a module reloaded onto the same VA and PA is re-decoded, never
+    /// served from a cache of the old body.
     ///
     /// # Errors
     ///
@@ -1045,17 +1092,23 @@ impl Kernel {
             });
         };
         let handle = self.modules.remove(idx);
-        let pages = handle.image.to_bytes().len().div_ceil(PAGE_SIZE as usize);
-        for page in 0..pages {
-            let unmapped = self
-                .mem
-                .unmap(self.kernel_table, base_va + page as u64 * PAGE_SIZE);
-            debug_assert!(unmapped, "module pages were mapped at load");
-        }
+        self.release_module_text(base_va, &handle.frames);
         self.free_module_slots
             .push((base_va - layout::MODULES_BASE) / layout::MODULE_STRIDE);
         self.events.push(KernelEvent::ModuleUnloaded { base_va });
         Ok(())
+    }
+
+    /// Unmaps a module's text pages from the kernel table and frees the
+    /// frames behind them.
+    fn release_module_text(&mut self, base_va: u64, frames: &[Frame]) {
+        for (page, &frame) in frames.iter().enumerate() {
+            let unmapped = self
+                .mem
+                .unmap(self.kernel_table, base_va + page as u64 * PAGE_SIZE);
+            let freed = self.mem.free_frame(frame);
+            debug_assert!(unmapped && freed, "module text was mapped and owned");
+        }
     }
 
     /// Executes a kernel function at EL1 with the current task's stack,
@@ -1370,8 +1423,12 @@ impl Kernel {
                 ([file, a1, a2], 0)
             }
             "open_close" => {
+                // open + close: the fd number is consumed and its slot
+                // freed at once. The body signs `f_ops` into the slot
+                // before any later allocation can hand it out again.
                 let file = self.alloc_file_raw()?;
                 let fd = self.files.insert(file);
+                self.close_fd(fd);
                 ([file, FileKind::DevZero.ops_va(), 0], fd)
             }
             _ => ([default_file, a1, a2], 0),
@@ -1396,11 +1453,19 @@ impl Kernel {
     }
 
     /// Allocates a file *without* signing (the open syscall body performs
-    /// the `set_file_ops` signing itself; §5.3).
+    /// the `set_file_ops` signing itself; §5.3): a closed file's slot if
+    /// any, otherwise a never-used one. A live file's slot is never
+    /// handed out.
     fn alloc_file_raw(&mut self) -> Result<u64, KernelError> {
-        let capacity = HEAP_PAGES * PAGE_SIZE / file_struct::SIZE;
-        let va = file_heap_base() + (self.next_file_slot % capacity) * file_struct::SIZE;
-        self.next_file_slot += 1;
+        let slot = match self.free_file_slots.pop() {
+            Some(slot) => slot,
+            None if self.next_file_slot < FILE_SLOTS => {
+                self.next_file_slot += 1;
+                self.next_file_slot - 1
+            }
+            None => return Err(KernelError::FileHeapExhausted),
+        };
+        let va = file_heap_base() + slot * file_struct::SIZE;
         let kctx = self.mem.kernel_ctx(self.kernel_table);
         self.mem
             .write_u64(&kctx, va + u64::from(file_struct::FLAGS), 1)
@@ -1877,5 +1942,162 @@ mod tests {
             last = Some(h.base_va);
             k.unload_module(h.base_va).unwrap();
         }
+    }
+
+    /// Live frames and live stage-1 tables.
+    fn footprint(k: &Kernel) -> (usize, usize) {
+        (k.mem().phys().frame_count(), k.mem().table_count())
+    }
+
+    /// Runs `round` 200 times and checks the footprint after every round
+    /// equals the footprint after the first.
+    fn assert_flat_storm(k: &mut Kernel, what: &str, mut round: impl FnMut(&mut Kernel, u32)) {
+        round(k, 0);
+        let settled = footprint(k);
+        for i in 1..200 {
+            round(k, i);
+            assert_eq!(footprint(k), settled, "{what}: round {i} grew memory");
+        }
+    }
+
+    #[test]
+    fn spawn_exit_storm_keeps_frames_and_tables_flat() {
+        let mut k = booted(ProtectionLevel::Full);
+        assert_flat_storm(&mut k, "spawn/exit", |k, i| {
+            let tid = k.spawn(&format!("churn-{i}")).unwrap();
+            assert!(k.run_user(tid, "stub", 1, 172, 0).unwrap().fault.is_none());
+            k.exit_task(tid).unwrap();
+        });
+    }
+
+    #[test]
+    fn spawn_kill_reap_storm_keeps_frames_and_tables_flat() {
+        let mut cfg = KernelConfig::default();
+        cfg.pac_panic_threshold = u32::MAX;
+        let mut k = Kernel::boot(cfg).expect("boot");
+        assert_flat_storm(&mut k, "spawn/kill/reap", |k, i| {
+            let victim = k.spawn(&format!("victim-{i}")).unwrap();
+            let target = k.spawn(&format!("target-{i}")).unwrap();
+            let kctx = k.mem().kernel_ctx(k.kernel_table());
+            let slot = layout::task_struct_va(target) + u64::from(task_struct::SAVED_SP);
+            k.mem_mut()
+                .write_u64(&kctx, slot, layout::stack_top(target) - 512)
+                .unwrap();
+            assert!(k
+                .run_user(victim, "stub", 1, 172, 0)
+                .unwrap()
+                .fault
+                .is_none());
+            let switch = k.context_switch(victim, target).unwrap();
+            assert!(switch.fault.is_some_and(|f| f.pac_failure), "round {i}");
+            k.reap_task(victim).unwrap();
+            k.exit_task(target).unwrap();
+        });
+    }
+
+    #[test]
+    fn module_load_unload_storm_keeps_frames_and_tables_flat() {
+        let mut k = booted(ProtectionLevel::Full);
+        assert_flat_storm(&mut k, "module load/unload", |k, i| {
+            let p = tiny_module(k, &format!("churn{i}_init"));
+            let h = k.load_module(p, &StaticPointerTable::new()).unwrap();
+            let entry = h.image.symbol(&format!("churn{i}_init")).unwrap();
+            assert_eq!(
+                k.kexec(entry, &[u64::from(i)]).unwrap().x0,
+                u64::from(i) + 2
+            );
+            k.unload_module(h.base_va).unwrap();
+        });
+    }
+
+    #[test]
+    fn module_reloaded_onto_the_same_va_and_pa_runs_its_new_body_on_every_tier() {
+        // (fast caches, blocks, traces): uncached step, cached step,
+        // blocks, traces. Enough calls to promote the body into a trace.
+        let calls = 3 * u64::from(camo_cpu::trace::HOT_THRESHOLD);
+        let tiers = [
+            (false, false, false),
+            (true, false, false),
+            (true, true, false),
+            (true, true, true),
+        ];
+        for (fast_caches, block_engine, trace_engine) in tiers {
+            let mut cfg = KernelConfig::default();
+            cfg.fast_caches = fast_caches;
+            cfg.block_engine = block_engine;
+            cfg.trace_engine = trace_engine;
+            let mut k = Kernel::boot(cfg).expect("boot");
+            let tier = format!("caches={fast_caches} blocks={block_engine} traces={trace_engine}");
+            let old = k
+                .load_module(tiny_module(&k, "body_init"), &StaticPointerTable::new())
+                .unwrap();
+            let text_pa = |k: &Kernel, va: u64| {
+                k.mem()
+                    .table(k.kernel_table())
+                    .lookup(va)
+                    .map(|e| e.frame)
+                    .expect("module text mapped")
+            };
+            let old_frame = text_pa(&k, old.base_va);
+            let entry = old.image.symbol("body_init").unwrap();
+            for n in 0..calls {
+                assert_eq!(k.kexec(entry, &[n]).unwrap().x0, n + 2, "{tier}");
+            }
+            k.unload_module(old.base_va).unwrap();
+            // Same name and size, different body: +1 instead of +2.
+            let cfg = k.codegen_config();
+            let mut p = Program::new(cfg);
+            let mut f = camo_codegen::FunctionBuilder::new("body_init", cfg).locals(32);
+            f.ins(camo_isa::Insn::AddImm {
+                rd: Reg::x(0),
+                rn: Reg::x(0),
+                imm12: 1,
+                shifted: false,
+            });
+            p.push(f.build());
+            let new = k.load_module(p, &StaticPointerTable::new()).unwrap();
+            assert_eq!(new.base_va, old.base_va, "{tier}: same VA");
+            assert_eq!(text_pa(&k, new.base_va), old_frame, "{tier}: same PA");
+            assert_eq!(new.image.symbol("body_init").unwrap(), entry);
+            for n in 0..calls {
+                assert_eq!(k.kexec(entry, &[n]).unwrap().x0, n + 1, "{tier}");
+            }
+        }
+    }
+
+    #[test]
+    fn open_close_storm_reuses_file_slots() {
+        // Far more opens than the heap has slots: each open_close frees
+        // its slot, and the long-lived fd 3 keeps authenticating.
+        let mut k = booted(ProtectionLevel::Full);
+        let mut last_fd = 0;
+        for _ in 0..2 * FILE_SLOTS {
+            let out = k.syscall(56, 0).unwrap();
+            assert!(out.fault.is_none());
+            assert!(out.x0 > last_fd, "fd numbers are never reused");
+            last_fd = out.x0;
+        }
+        let out = k.syscall(63, 3).unwrap();
+        assert!(out.fault.is_none());
+        assert_eq!(k.pac_failures(), 0);
+    }
+
+    #[test]
+    fn a_full_file_heap_is_an_error_never_an_alias() {
+        let mut k = booted(ProtectionLevel::Full);
+        let mut live = std::collections::HashSet::new();
+        live.insert(k.file_of_fd(3).unwrap());
+        let err = loop {
+            match k.open_file(FileKind::DevNull) {
+                Ok((_, va)) => assert!(live.insert(va), "slot {va:#x} handed out twice"),
+                Err(e) => break e,
+            }
+        };
+        assert_eq!(err, KernelError::FileHeapExhausted);
+        assert_eq!(live.len() as u64, FILE_SLOTS);
+        // Closing one fd makes exactly its slot available again.
+        let va = k.close_fd(4).expect("fd 4 is open");
+        assert_eq!(k.open_file(FileKind::Pipe).unwrap().1, va);
+        assert_eq!(k.close_fd(4), None, "already closed");
     }
 }

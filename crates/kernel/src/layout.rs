@@ -39,6 +39,8 @@ pub const STACK_STRIDE: u64 = 0x1_0000;
 pub const USER_TEXT_BASE: u64 = 0x0000_0000_0040_0000;
 /// User stack top.
 pub const USER_STACK_TOP: u64 = 0x0000_7fff_ff00_0000;
+/// Pages of user stack below [`USER_STACK_TOP`], private to each process.
+pub const USER_STACK_PAGES: usize = 4;
 /// User scratch/data page.
 pub const USER_DATA_BASE: u64 = 0x0000_0000_0080_0000;
 

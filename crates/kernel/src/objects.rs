@@ -3,7 +3,7 @@
 
 use crate::layout::{self, file_operations};
 use camo_cpu::pac::KeyClass;
-use camo_mem::TableId;
+use camo_mem::{Frame, TableId};
 use camo_qarma::QarmaKey;
 use std::collections::HashMap;
 
@@ -19,8 +19,16 @@ pub struct Task {
     pub tid: Tid,
     /// Human-readable name.
     pub name: String,
-    /// The process's user-half translation table.
+    /// The process's user-half translation table, freed when the task
+    /// exits or is reaped.
     pub user_table: TableId,
+    /// The frames backing the process's private user stack, owned by the
+    /// task and freed with it. (The user text frames are shared by every
+    /// process and never freed.)
+    pub user_stack: [Frame; layout::USER_STACK_PAGES],
+    /// The task's pre-opened `/dev/zero` fd, closed when the task exits or
+    /// is reaped.
+    pub fd: u64,
     /// Whether the task is schedulable (false once killed).
     pub alive: bool,
     /// The per-thread user PAuth keys (also written into the simulated
@@ -266,6 +274,8 @@ mod tests {
             tid: 2,
             name: "t".into(),
             user_table: TableId::from_raw(0),
+            user_stack: [Frame::containing(0); layout::USER_STACK_PAGES],
+            fd: 3,
             alive: true,
             user_keys: [QarmaKey::default(); 3],
             cpu: 0,

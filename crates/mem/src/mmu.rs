@@ -256,6 +256,15 @@ const TLB_SIZE: usize = 1024;
 /// entries at once. A stale entry can therefore never serve a downgraded
 /// permission.
 ///
+/// # Recycling
+///
+/// Physical frames ([`Memory::free_frame`]) and stage-1 tables
+/// ([`Memory::free_table`]) are reused after they are freed. Both frees
+/// bump the generation, and a freed frame's write version only ever grows
+/// (see [`PhysMem`]), so no cache keyed on a table id, a physical address
+/// or a frame version can serve a freed object's old contents to its next
+/// owner.
+///
 /// [`Memory::set_caching`]`(false)` selects the seed-faithful slow path —
 /// no TLB *and* per-byte translation in the bulk accessors — which is the
 /// A/B baseline the `perfcheck` harness measures against. Architectural
@@ -265,6 +274,8 @@ const TLB_SIZE: usize = 1024;
 pub struct Memory {
     phys: PhysMem,
     tables: Vec<Stage1Table>,
+    /// Freed (emptied) tables, reused LIFO by [`Memory::new_table`].
+    free_tables: Vec<TableId>,
     stage2: Stage2Table,
     /// Generation counter for translation-affecting mutations.
     generation: u64,
@@ -292,6 +303,7 @@ impl Memory {
         Memory {
             phys: PhysMem::new(),
             tables: Vec::new(),
+            free_tables: Vec::new(),
             stage2: Stage2Table::new(),
             generation: 0,
             tlb: vec![Cell::new(TlbSlot::EMPTY); TLB_SIZE],
@@ -367,15 +379,58 @@ impl Memory {
         self.generation += 1;
     }
 
-    /// Allocates a new, empty stage-1 table.
+    /// Allocates an empty stage-1 table: the most recently freed one if
+    /// any, otherwise a new one.
     pub fn new_table(&mut self) -> TableId {
+        if let Some(table) = self.free_tables.pop() {
+            return table;
+        }
         self.tables.push(Stage1Table::new());
         TableId(self.tables.len() - 1)
     }
 
-    /// Allocates a zeroed physical frame.
+    /// Frees `table` for reuse by a later [`Memory::new_table`]: every
+    /// mapping is removed and the generation bumped, so no cached
+    /// translation through the old table survives into the id's next
+    /// life. The frames it mapped are *not* freed; their owner frees them.
+    ///
+    /// Returns `false`, and changes nothing, for an unknown or already
+    /// freed table.
+    pub fn free_table(&mut self, table: TableId) -> bool {
+        if table.0 >= self.tables.len() || self.free_tables.contains(&table) {
+            return false;
+        }
+        self.tables[table.0].clear();
+        self.free_tables.push(table);
+        self.bump_generation();
+        true
+    }
+
+    /// Number of live stage-1 tables: created and not freed since. The
+    /// frame-side twin is [`PhysMem::frame_count`].
+    pub fn table_count(&self) -> usize {
+        self.tables.len() - self.free_tables.len()
+    }
+
+    /// Allocates a zeroed physical frame (a recycled one when any is free).
     pub fn alloc_frame(&mut self) -> Frame {
         self.phys.alloc()
+    }
+
+    /// Frees `frame` for reuse by a later [`Memory::alloc_frame`] (see
+    /// [`PhysMem::free`]) and bumps the generation.
+    ///
+    /// The caller must own the frame and have unmapped it: this layer
+    /// keeps no reverse map. It does refuse — returning `false` and
+    /// changing nothing — a frame that is not live (no double free) and
+    /// a frame that carries a stage-2 override: hypervisor-sealed memory
+    /// such as the XOM kernel text is never recycled.
+    pub fn free_frame(&mut self, frame: Frame) -> bool {
+        if self.stage2.is_guarded(frame) || !self.phys.free(frame) {
+            return false;
+        }
+        self.bump_generation();
+        true
     }
 
     /// Maps `va`'s page to `frame` in `table`.
@@ -394,8 +449,8 @@ impl Memory {
     /// core — the module-unload path relies on this to guarantee that
     /// unloaded kernel text can never be fetched again.
     ///
-    /// The backing frame is *not* freed (physical frames are never
-    /// recycled in this simulator); only the translation disappears.
+    /// The backing frame is *not* freed; only the translation disappears.
+    /// Its owner frees it with [`Memory::free_frame`].
     pub fn unmap(&mut self, table: TableId, va: u64) -> bool {
         let removed = self.tables[table.0].unmap(va).is_some();
         if removed {
@@ -1198,6 +1253,52 @@ mod tests {
         // The previously warm entry must re-walk.
         mem.read_u64(&ctx, KERNEL_BASE).unwrap();
         assert_eq!(mem.tlb_misses(), misses + 1);
+    }
+
+    #[test]
+    fn a_recycled_table_starts_empty_and_serves_no_stale_translation() {
+        let (mut mem, kernel) = setup();
+        let user = mem.new_table();
+        mem.map_new(user, 0x1000, S1Attr::user_data());
+        let ctx = TranslationCtx {
+            ttbr0: user,
+            ttbr1: kernel,
+            el: El::El0,
+            tbi_user: true,
+        };
+        mem.write_u64(&ctx, 0x1000, 7).unwrap();
+        assert_eq!(mem.read_u64(&ctx, 0x1000), Ok(7), "warm the TLB");
+        assert_eq!(mem.table_count(), 2);
+        assert!(mem.free_table(user));
+        assert!(!mem.free_table(user), "no double free");
+        assert!(!mem.free_table(TableId(99)), "unknown table");
+        assert_eq!(mem.table_count(), 1);
+        let again = mem.new_table();
+        assert_eq!(again, user, "freed ids are reused");
+        assert_eq!(mem.table(again).mapped_pages(), 0);
+        assert_eq!(
+            mem.read_u64(&ctx, 0x1000),
+            Err(MemFault::Translation { va: 0x1000 })
+        );
+        assert_eq!(mem.table_count(), 2);
+    }
+
+    #[test]
+    fn free_frame_refuses_stage2_guarded_and_dead_frames() {
+        let (mut mem, table) = setup();
+        let xom = mem.map_new(table, KERNEL_BASE, S1Attr::kernel_text());
+        mem.protect_stage2(xom, S2Attr::execute_only()).unwrap();
+        let data = mem.map_new(table, KERNEL_BASE + PAGE_SIZE, S1Attr::kernel_data());
+        let live = mem.phys().frame_count();
+        assert!(!mem.free_frame(xom), "sealed text is never recycled");
+        assert!(mem.phys().is_allocated(xom));
+        let gen = mem.translation_generation();
+        assert!(mem.unmap(table, KERNEL_BASE + PAGE_SIZE));
+        assert!(mem.free_frame(data));
+        assert!(mem.translation_generation() > gen);
+        assert!(!mem.free_frame(data), "no double free");
+        assert_eq!(mem.phys().frame_count(), live - 1);
+        assert_eq!(mem.alloc_frame(), data, "the freed frame comes back first");
     }
 
     #[test]

@@ -42,16 +42,26 @@ struct FrameData {
 
 /// Sparse byte-addressable physical memory, allocated in 4 KiB frames.
 ///
-/// Frames are handed out with dense, sequential numbers, so the store is a
-/// plain `Vec` indexed by frame number — every access is an array index,
-/// which is what keeps the CPU's per-step `frame_version` check (and the
-/// slice fast paths under the page-granular MMU accessors) cheap.
+/// Frames are handed out with dense numbers, so the store is a plain `Vec`
+/// indexed by frame number — every access is an array index, which is what
+/// keeps the CPU's per-step `frame_version` check (and the slice fast paths
+/// under the page-granular MMU accessors) cheap.
+///
+/// Frames are recycled: [`PhysMem::free`] zeroes a frame and parks its
+/// storage on a free list, and [`PhysMem::alloc`] hands parked frames out
+/// again (most recently freed first) before it grows the store. A freed
+/// frame reads as unbacked until it is reallocated. Its write version is
+/// bumped on free and never reset, so every `(physical address, version)`
+/// snapshot taken before the free is stale after the reuse.
 #[derive(Debug, Default)]
 pub struct PhysMem {
     /// Indexed by frame number; index 0 is never backed so that physical
-    /// address 0 stays invalid.
+    /// address 0 stays invalid. A freed frame's slot is `None`.
     frames: Vec<Option<FrameData>>,
-    allocated: usize,
+    /// Freed frames awaiting reuse: frame number plus its zeroed storage,
+    /// version preserved.
+    free: Vec<(u64, FrameData)>,
+    live: usize,
 }
 
 impl PhysMem {
@@ -60,19 +70,45 @@ impl PhysMem {
         PhysMem {
             // Leave frame 0 unused so that physical address 0 stays invalid.
             frames: vec![None],
-            allocated: 0,
+            free: Vec::new(),
+            live: 0,
         }
     }
 
-    /// Allocates a fresh zeroed frame.
+    /// Allocates a zeroed frame: the most recently freed one if any,
+    /// otherwise a fresh one.
     pub fn alloc(&mut self) -> Frame {
+        self.live += 1;
+        if let Some((number, data)) = self.free.pop() {
+            self.frames[number as usize] = Some(data);
+            return Frame(number);
+        }
         let frame = Frame(self.frames.len() as u64);
         self.frames.push(Some(FrameData {
             bytes: Box::new([0u8; PAGE_SIZE as usize]),
             version: 0,
         }));
-        self.allocated += 1;
         frame
+    }
+
+    /// Frees `frame` for reuse by a later [`PhysMem::alloc`]: its bytes
+    /// are zeroed and its version bumped past every value it had.
+    ///
+    /// Returns `false`, and changes nothing, if `frame` is not live — so a
+    /// frame can never be freed twice or sit on the free list twice.
+    pub fn free(&mut self, frame: Frame) -> bool {
+        let Some(mut data) = usize::try_from(frame.0)
+            .ok()
+            .and_then(|i| self.frames.get_mut(i))
+            .and_then(Option::take)
+        else {
+            return false;
+        };
+        data.bytes.fill(0);
+        data.version += 1;
+        self.free.push((frame.0, data));
+        self.live -= 1;
+        true
     }
 
     #[inline]
@@ -89,13 +125,14 @@ impl PhysMem {
         self.frame(frame.0).is_some()
     }
 
-    /// Number of allocated frames.
+    /// Number of live frames: allocated and not freed since.
     pub fn frame_count(&self) -> usize {
-        self.allocated
+        self.live
     }
 
     /// The write version of `frame`: bumped on every mutation of the
-    /// frame's bytes (0 for unallocated frames, which hold no bytes).
+    /// frame's bytes and on every free, never reset (0 for unallocated
+    /// and freed frames, which hold no bytes).
     ///
     /// Caches that snapshot frame contents (the CPU's decoded-instruction
     /// cache) validate against this counter.
@@ -292,6 +329,44 @@ mod tests {
         let mut buf = [0u8; 32];
         mem.read_bytes(f.base(), &mut buf).unwrap();
         assert_eq!(mem.frame_version(f), v);
+    }
+
+    #[test]
+    fn a_reused_frame_reads_zero_under_a_newer_version() {
+        let mut mem = PhysMem::new();
+        let f = mem.alloc();
+        let mut seen = vec![mem.frame_version(f)];
+        for i in 0..8u64 {
+            mem.write_u64(f.base() + 8 * i, !i).unwrap();
+            seen.push(mem.frame_version(f));
+        }
+        assert!(mem.free(f));
+        assert!(!mem.is_allocated(f), "a freed frame is unbacked");
+        assert_eq!(mem.read_u8(f.base()), None);
+        assert_eq!(mem.frame_count(), 0);
+        let again = mem.alloc();
+        assert_eq!(again, f, "freed frames are reused before the store grows");
+        assert_eq!(mem.frame_count(), 1);
+        let mut buf = vec![0xFFu8; PAGE_SIZE as usize];
+        mem.read_bytes(again.base(), &mut buf).unwrap();
+        assert!(buf.iter().all(|&b| b == 0), "a reused frame reads as zero");
+        let v = mem.frame_version(again);
+        assert!(seen.iter().all(|&old| v > old), "{v} vs {seen:?}");
+    }
+
+    #[test]
+    fn free_refuses_dead_and_unknown_frames() {
+        let mut mem = PhysMem::new();
+        let f = mem.alloc();
+        assert!(!mem.free(Frame(0)), "frame 0 is never backed");
+        assert!(!mem.free(Frame(99)), "never allocated");
+        assert!(mem.free(f));
+        assert!(!mem.free(f), "no double free");
+        // One free-list entry: two allocations get two distinct frames.
+        let a = mem.alloc();
+        let b = mem.alloc();
+        assert_ne!(a, b);
+        assert_eq!(mem.frame_count(), 2);
     }
 
     #[test]

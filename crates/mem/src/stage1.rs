@@ -139,6 +139,11 @@ impl Stage1Table {
         }
     }
 
+    /// Removes every mapping.
+    pub fn clear(&mut self) {
+        self.entries.clear();
+    }
+
     /// Number of mapped pages.
     pub fn mapped_pages(&self) -> usize {
         self.entries.len()

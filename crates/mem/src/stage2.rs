@@ -102,6 +102,12 @@ impl Stage2Table {
         self.locked
     }
 
+    /// Whether `frame` carries an explicit permission override (the
+    /// hypervisor-sealed kernel text, vectors, rodata and XOM key setter).
+    pub fn is_guarded(&self, frame: Frame) -> bool {
+        self.overrides.contains_key(&frame)
+    }
+
     /// Number of frames with non-default permissions.
     pub fn guarded_frames(&self) -> usize {
         self.overrides.len()
@@ -149,6 +155,8 @@ mod tests {
         table.protect(frame, S2Attr::execute_only()).unwrap();
         assert_eq!(table.attr(frame), S2Attr::execute_only());
         assert_eq!(table.guarded_frames(), 1);
+        assert!(table.is_guarded(frame));
+        assert!(!table.is_guarded(Frame::containing(0x5000)));
     }
 
     #[test]

@@ -529,6 +529,9 @@ impl TenantRun {
                 let out = kernel.run_user(victim, "stub", 1, 63, fd)?;
                 let triggered = out.fault.is_some_and(|f| f.pac_failure);
                 kernel.reap_task(victim)?;
+                // Close the forged file so its slot goes back to the heap's
+                // free list, never under a live fd.
+                kernel.close_fd(fd);
                 self.record_hostile(kernel, op, Some(victim), out.cycles, triggered);
             }
             HostileOp::ForgedWorkFunc => {
